@@ -158,6 +158,8 @@ def cmd_entries(args) -> tuple[int, str]:
     op = evaluate(parse(args.expr))
     if not (0 <= args.block < len(op.blocks)):
         raise IndexOutOfRange(f"block {args.block} of {len(op.blocks)}")
+    if args.rows < 0 or args.cols < 0:
+        raise IndexOutOfRange(f"window size {args.rows}x{args.cols} is negative")
     rows = []
     for i in range(args.rows):
         rows.append(

@@ -223,10 +223,30 @@ OpNode = TAtom | IdentityAtom | FRAtom | MatrixAtom | OpBin | OpNeg | OpScalarMu
 # ---------------------------------------------------------------------------
 
 
+# Deepest nesting of parentheses, signs and scalar prefixes that parse
+# accepts; the recursive descent stays far inside Python's recursion limit.
+MAX_DEPTH = 100
+
+
+def _nested(step):
+    """Count one nesting level around a recursive parse step."""
+
+    def counted(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"expression nested more than {MAX_DEPTH} levels deep")
+        node = step(self)
+        self.depth -= 1
+        return node
+
+    return counted
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -323,6 +343,7 @@ class _Parser:
             node = _fold(SBin(op, node, right))
         return node
 
+    @_nested
     def parse_sfactor(self) -> SymNode:
         t = self.peek()
         if t.text == "-":
@@ -450,6 +471,7 @@ class _Parser:
 
     # -- operator expressions ----------------------------------------------
 
+    @_nested
     def parse_factor(self) -> OpNode:
         t = self.peek()
         if t.text == "-":

@@ -12,7 +12,7 @@ two must agree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
     NotBFredholm,
     NotCommuting,
     OracleMismatch,
+    ZeroOnCircle,
 )
 from .finiterank import FR_ZERO, FiniteRankOperator, make_finite_rank, trace as fr_trace
 from .matrices import drazin, is_nilpotent, zeros as mat_zeros
@@ -30,23 +31,20 @@ from .operators import (
     BlockOperator,
     MatrixBlock,
     ToeplitzBlock,
-    direct_sum,
     identity_like,
     op_arith,
     op_equal,
     op_power,
-    op_scale,
     scalar_shift,
     toeplitz_operator,
 )
-from .poly import Polynomial
-from .rootloc import has_zero_on_circle
-from .scalars import GaussianRational, ONE, ZERO, gr
+from .scalars import GaussianRational, ZERO, gr
 from .sequences import seq_finite
 from .symbols import (
     ZERO_SYMBOL,
     invert_symbol,
-    sym_equal,
+    sym_arith,
+    sym_pow,
     winding_number,
 )
 
@@ -61,31 +59,43 @@ B_FREDHOLM_CLASSES = (INVERTIBLE_MOD_J, FREDHOLM, B_FREDHOLM)
 
 def classify(a: BlockOperator) -> str:
     """Total classification of the quotient class pi(a)."""
-    sym_blocks = [b for b in a.blocks if isinstance(b, ToeplitzBlock)]
-    has_zero_symbol = False
+    return _class_and_index(a)[0]
+
+
+def _class_and_index(a: BlockOperator) -> tuple[str, int | None]:
+    """classify(a) and, when a is in class, index_winding(a), from one
+    root location per symbol num/den (no CircleSplit is read)."""
     windings = []
-    for b in sym_blocks:
-        f = b.symbol
-        if f.is_zero():
+    has_zero_symbol = False
+    for b in a.blocks:
+        if not isinstance(b, ToeplitzBlock):
+            continue
+        if b.symbol.is_zero():
             has_zero_symbol = True
             continue
-        if not f.num.is_constant() and has_zero_on_circle(f.num):
-            return NOT_IN_CLASS
-        windings.append(winding_number(f))
-    if has_zero_symbol or not sym_blocks:
-        return B_FREDHOLM
-    if all(w == 0 for w in windings):
-        return INVERTIBLE_MOD_J
-    return FREDHOLM
+        try:
+            windings.append(winding_number(b.symbol))
+        except ZeroOnCircle:
+            return NOT_IN_CLASS, None
+    if has_zero_symbol or not windings:
+        c = B_FREDHOLM
+    elif all(w == 0 for w in windings):
+        c = INVERTIBLE_MOD_J
+    else:
+        c = FREDHOLM
+    return c, -sum(windings)
 
 
 @dataclass(frozen=True, slots=True)
 class DrazinWitness:
-    """Candidate Drazin inverse of pi(a), with certifying defects.
+    """Candidate Drazin inverse a0 of pi(a), with the certifying defects
+    a*a0 - a0*a, a0*a*a0 - a0, a^(p+1)*a0 - a^p.
 
-    The three defects a*a0 - a0*a, a0*a*a0 - a0, a^(p+1)*a0 - a^p are
-    full BlockOperators; the certificate is that each lies in the ideal
-    (every Toeplitz symbol difference is the zero symbol).
+    The defects are taken in the quotient: symbol differences with an
+    empty finite-rank correction, and exact products on matrix blocks.
+    The certificate is that each lies in the ideal (every Toeplitz symbol
+    difference is the zero symbol).  index_trace builds the full
+    commutator a*a0 - a0*a and takes its trace.
     """
 
     inverse: BlockOperator
@@ -94,13 +104,10 @@ class DrazinWitness:
     matrix_indices: tuple[int, ...] = ()
 
     def defects_in_ideal(self) -> bool:
-        return all(_in_ideal(d) for d in self.defects)
-
-
-def _in_ideal(a: BlockOperator) -> bool:
-    return all(
-        b.symbol.is_zero() for b in a.blocks if isinstance(b, ToeplitzBlock)
-    )
+        return all(
+            b.symbol.is_zero()
+            for d in self.defects for b in d.blocks if isinstance(b, ToeplitzBlock)
+        )
 
 
 def drazin_witness(a: BlockOperator, matrix_mode: str = "drazin") -> DrazinWitness:
@@ -109,6 +116,11 @@ def drazin_witness(a: BlockOperator, matrix_mode: str = "drazin") -> DrazinWitne
     modulo the ideal and must give the same index)."""
     if classify(a) == NOT_IN_CLASS:
         raise NotBFredholm("a symbol vanishes on the unit circle")
+    return _drazin_witness(a, matrix_mode)
+
+
+def _drazin_witness(a: BlockOperator, matrix_mode: str) -> DrazinWitness:
+    """drazin_witness for an a already known to be in class."""
     if matrix_mode not in ("drazin", "zero"):
         raise ValueError(f"unknown matrix_mode {matrix_mode!r}")
     blocks: list[Block] = []
@@ -135,21 +147,34 @@ def drazin_witness(a: BlockOperator, matrix_mode: str = "drazin") -> DrazinWitne
                 blocks.append(MatrixBlock(d))
                 p = max(p, k)
     a0 = BlockOperator(tuple(blocks))
-    d1 = op_arith(op_arith(a, a0, "mul"), op_arith(a0, a, "mul"), "sub")
-    d2 = op_arith(
-        op_arith(op_arith(a0, a, "mul"), a0, "mul"), a0, "sub"
-    )
-    ap = op_power(a, p)
-    d3 = op_arith(op_arith(op_power(a, p + 1), a0, "mul"), ap, "sub")
-    w = DrazinWitness(a0, p, (d1, d2, d3), tuple(matrix_indices))
+    d1: list[Block] = []
+    d2: list[Block] = []
+    d3: list[Block] = []
+    for x, y in zip(a.blocks, a0.blocks):
+        if isinstance(x, ToeplitzBlock):  # symbols commute: f^(p+1) g = f^p (g f)
+            f, g = x.symbol, y.symbol
+            fg, gf, fp = sym_arith(f, g, "mul"), sym_arith(g, f, "mul"), sym_pow(f, p)
+            d1.append(ToeplitzBlock(sym_arith(fg, gf, "sub")))
+            d2.append(ToeplitzBlock(sym_arith(sym_arith(gf, g, "mul"), g, "sub")))
+            d3.append(ToeplitzBlock(sym_arith(sym_arith(fp, gf, "mul"), fp, "sub")))
+        else:
+            m, d, mp = x.m, y.m, x.m.power(p)
+            d1.append(MatrixBlock(m * d - d * m))
+            d2.append(MatrixBlock(d * m * d - d))
+            d3.append(MatrixBlock(mp * m * d - mp))
+    defects = tuple(BlockOperator(tuple(d)) for d in (d1, d2, d3))
+    w = DrazinWitness(a0, p, defects, tuple(matrix_indices))
     if not w.defects_in_ideal():
         raise OracleMismatch("a Drazin defect left the ideal; internal error")
     return w
 
 
-def _commutator_trace(a: BlockOperator, a0: BlockOperator) -> GaussianRational:
-    """tau(a*a0 - a0*a), summed blockwise; symbols must cancel."""
-    comm = op_arith(op_arith(a, a0, "mul"), op_arith(a0, a, "mul"), "sub")
+def _commutator(a: BlockOperator, a0: BlockOperator) -> BlockOperator:
+    return op_arith(op_arith(a, a0, "mul"), op_arith(a0, a, "mul"), "sub")
+
+
+def _commutator_trace(comm: BlockOperator) -> GaussianRational:
+    """tau of a commutator, summed blockwise; symbols must cancel."""
     total = ZERO
     for b in comm.blocks:
         if isinstance(b, ToeplitzBlock):
@@ -167,24 +192,22 @@ def index_trace(a: BlockOperator, witness: DrazinWitness | None = None) -> int:
     """i(a) = tau(a a0 - a0 a) for a Drazin witness a0; exact integer."""
     if witness is None:
         witness = drazin_witness(a)
-    t = _commutator_trace(a, witness.inverse)
+    comm = _commutator(a, witness.inverse)
+    t = _commutator_trace(comm)
     if not t.is_rational_integer():
         raise NonIntegerTrace(
             f"tau([a, a0]) = {t} is not an integer; commutator dump: "
-            + "; ".join(str(b) for b in witness.defects[0].blocks)
+            + "; ".join(str(b) for b in comm.blocks)
         )
     return int(t.re)
 
 
 def index_winding(a: BlockOperator) -> int:
     """Independent oracle: minus the sum of symbol winding numbers."""
-    if classify(a) == NOT_IN_CLASS:
+    c, index = _class_and_index(a)
+    if c == NOT_IN_CLASS:
         raise NotBFredholm("a symbol vanishes on the unit circle")
-    total = 0
-    for b in a.blocks:
-        if isinstance(b, ToeplitzBlock) and not b.symbol.is_zero():
-            total -= winding_number(b.symbol)
-    return total
+    return index
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,16 +222,15 @@ class IndexReport:
 
 def analyze(a: BlockOperator) -> IndexReport:
     """Classification plus both index routes where available."""
-    c = classify(a)
+    c, iw = _class_and_index(a)
     if c == NOT_IN_CLASS:
         return IndexReport(c, None, None, None, ("no index: not in class",))
-    iw = index_winding(a)
     notes = ["winding route: -sum of symbol windings"]
     it = None
     qidx = None
     ideal_ok = None
     try:
-        w = drazin_witness(a)
+        w = _drazin_witness(a, "drazin")
         it = index_trace(a, w)
         qidx = w.quotient_index
         ideal_ok = w.defects_in_ideal()
@@ -217,8 +239,8 @@ def analyze(a: BlockOperator) -> IndexReport:
             raise OracleMismatch(
                 f"index_trace={it} disagrees with index_winding={iw}"
             )
-    except MissingSplit:
-        notes.append("trace route unavailable: symbol without CircleSplit")
+    except MissingSplit as e:
+        notes.append(f"trace route unavailable: {e}")
     return IndexReport(c, it, iw, qidx, tuple(notes), ideal_ok)
 
 
@@ -229,13 +251,15 @@ def analyze(a: BlockOperator) -> IndexReport:
 
 def verify_fedosov(a: BlockOperator) -> IndexReport:
     """Both routes must agree exactly (trace-formula identity)."""
-    w = drazin_witness(a)
+    c, iw = _class_and_index(a)
+    if c == NOT_IN_CLASS:
+        raise NotBFredholm("a symbol vanishes on the unit circle")
+    w = _drazin_witness(a, "drazin")
     it = index_trace(a, w)
-    iw = index_winding(a)
     if it != iw:
         raise OracleMismatch(f"trace index {it} != winding index {iw}")
     return IndexReport(
-        classify(a), it, iw, w.quotient_index,
+        c, it, iw, w.quotient_index,
         ("both routes computed and equal",), w.defects_in_ideal(),
     )
 
@@ -292,8 +316,7 @@ def verify_well_defined(
     rng = random.Random(rng_seed)
     values = []
     for _ in range(trials):
-        a0p = _perturb_witness(w.inverse, rng)
-        t = _commutator_trace(a, a0p)
+        t = _commutator_trace(_commutator(a, _perturb_witness(w.inverse, rng)))
         if not t.is_rational_integer():
             raise NonIntegerTrace(f"perturbed commutator trace {t}")
         values.append(int(t.re))
@@ -336,18 +359,15 @@ def punctured_scan(
     a: BlockOperator, radii: list[Fraction], directions: int = 8
 ) -> ScanReport:
     """Classify a - lambda*e on a punctured grid around 0 (Thm 3.1 shape)."""
-    base_c = classify(a)
+    base_c, base = _class_and_index(a)
     if base_c == NOT_IN_CLASS:
         raise NotBFredholm("base operator is not in class")
-    base = index_winding(a)
     rows = []
     dirs = SCAN_DIRECTIONS[:directions]
     for r in sorted(set(Fraction(x) for x in radii)):
         for d in dirs:
             lam = d * gr(r)
-            shifted = scalar_shift(a, lam)
-            c = classify(shifted)
-            idx = index_winding(shifted) if c != NOT_IN_CLASS else None
+            c, idx = _class_and_index(scalar_shift(a, lam))
             rows.append(ScanRow(lam, r, c, idx))
     stable = None
     for r in sorted(set(row.radius for row in rows)):
@@ -404,14 +424,13 @@ def verify_ideal_perturbation(
     """i(a + j) = i(a) for ideal j (Proposition ii shape)."""
     from .operators import embed_finite_rank
 
-    if classify(a) == NOT_IN_CLASS:
+    base_c, base = _class_and_index(a)
+    if base_c == NOT_IN_CLASS:
         raise NotBFredholm("base operator is not in class")
     perturbed = op_arith(a, embed_finite_rank(a, j, block_index), "add")
-    c = classify(perturbed)
+    c, after = _class_and_index(perturbed)
     if c == NOT_IN_CLASS:
         raise OracleMismatch("ideal perturbation left the class")
-    base = index_winding(a)
-    after = index_winding(perturbed)
     if base != after:
         raise OracleMismatch(f"index moved under ideal perturbation: {base} -> {after}")
     routes = ["winding route"]
@@ -461,8 +480,6 @@ def nonstability_demo() -> list[dict]:
         gr(Fraction(3, 40), Fraction(1, 10)),
     ]
     for lam in lams:
-        shifted = scalar_shift(base, lam)
-        c = classify(shifted)
-        idx = index_winding(shifted) if c != NOT_IN_CLASS else None
+        c, idx = _class_and_index(scalar_shift(base, lam))
         rows.append({"lambda": lam, "classification": c, "index": idx})
     return rows

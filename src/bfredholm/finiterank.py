@@ -79,16 +79,6 @@ def outer(u: RationalSequence, v: RationalSequence) -> FiniteRankOperator:
     return make_finite_rank([(u, v)])
 
 
-def fr_arith(F: FiniteRankOperator, G: FiniteRankOperator, op: str) -> FiniteRankOperator:
-    if op == "add":
-        return F + G
-    if op == "sub":
-        return F - G
-    if op == "compose":
-        return F.compose(G)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def trace(F: FiniteRankOperator) -> GaussianRational:
     """tau(F) = sum_k pairing(v_k, u_k), exact."""
     total = ZERO

@@ -10,6 +10,7 @@ exact Laurent expansions, so traces downstream remain exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import IndexOutOfRange, MissingSplit, SignatureMismatch
 from .finiterank import FR_ZERO, FiniteRankOperator, fr_is_zero, make_finite_rank
@@ -49,19 +50,12 @@ def _split_shifted(p: Polynomial, sign: int) -> list[Polynomial]:
         return []
     d = p.degree
     out = [P_ZERO] * (d + 1)
-    binom = [[1]]
-    for n in range(1, d + 1):
-        row = [1]
-        for k in range(1, n):
-            row.append(binom[n - 1][k - 1] + binom[n - 1][k])
-        row.append(1)
-        binom.append(row)
     for deg, c in enumerate(p.coeffs):
         if c.is_zero():
             continue
         for e in range(deg + 1):
             s = sign ** e
-            coef = c * gr(binom[deg][e] * s)
+            coef = c * gr(comb(deg, e) * s)
             out[e] = out[e] + poly([0] * (deg - e) + [1]).scale(coef)
     return out
 

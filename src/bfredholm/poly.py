@@ -226,11 +226,6 @@ def rising_binom_poly(k: int) -> Polynomial:
     return out.scale(gr(Fraction(1, fact)))
 
 
-def split_re_im(p: Polynomial) -> tuple[list[Fraction], list[Fraction]]:
-    """Real and imaginary coefficient lists of p (as real polynomials)."""
-    return [c.re for c in p.coeffs], [c.im for c in p.coeffs]
-
-
 # ---------------------------------------------------------------------------
 # Real-coefficient helpers for Sturm chains and Cauchy indices.
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .poly import (
     poly,
     rp_trim,
 )
-from .scalars import GaussianRational, gr
+from .scalars import gr
 
 _CAYLEY_PLUS = poly([1, gr(0, 1)])  # 1 + i t
 _CAYLEY_MINUS = poly([1, gr(0, -1)])  # 1 - i t
@@ -138,9 +138,3 @@ def count_zeros_outside_disk(p: Polynomial) -> int:
     if p.is_zero():
         raise ZeroPolynomial("disk count of the zero polynomial")
     return p.degree - count_zeros_in_disk(p)
-
-
-def abs2_vs_one(a: GaussianRational) -> int:
-    """-1, 0, +1 as |a| is below, on, or above the unit circle."""
-    q = a.abs2()
-    return (q > 1) - (q < 1)

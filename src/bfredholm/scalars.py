@@ -86,19 +86,6 @@ I = gr(0, 1)
 MINUS_ONE = gr(-1)
 
 
-def arith(a: GaussianRational, b: GaussianRational, op: str) -> GaussianRational:
-    """Dispatch form of the field operations: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _frac_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)

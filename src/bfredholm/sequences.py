@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import ExactError
 from .poly import Polynomial, binom_poly, poly
@@ -205,7 +206,6 @@ def partial_geom_sum(p: Polynomial, c: GaussianRational) -> tuple[Polynomial, Ga
     cinv = ONE / c
     a = [ZERO] * (d + 1)
     p_coeffs = [p.coeff(k) for k in range(d + 1)]
-    bin_cache = _binom_table(d + 1)
     for deg in range(d, -1, -1):
         # coefficient of M^deg in A(M) - (1/c)A(M-1):
         # a_deg (1 - 1/c) - (1/c) sum_{e>deg} a_e C(e,deg) (-1)^(e-deg)
@@ -213,7 +213,7 @@ def partial_geom_sum(p: Polynomial, c: GaussianRational) -> tuple[Polynomial, Ga
         acc = ZERO
         for e in range(deg + 1, d + 1):
             sign = gr(-1) if (e - deg) % 2 else gr(1)
-            acc = acc + a[e] * gr(bin_cache[e][deg]) * sign
+            acc = acc + a[e] * gr(comb(e, deg)) * sign
         a[deg] = (rhs + cinv * acc) / (ONE - cinv)
     A = Polynomial(tuple(a))
     K = p.eval(gr(0)) - A.eval(gr(0))
@@ -234,17 +234,6 @@ def _faulhaber_sum(p: Polynomial) -> Polynomial:
         if not values:
             break
     return out
-
-
-def _binom_table(n: int) -> list[list[int]]:
-    table = [[1]]
-    for i in range(1, n + 1):
-        row = [1]
-        for j in range(1, i):
-            row.append(table[i - 1][j - 1] + table[i - 1][j])
-        row.append(1)
-        table.append(row)
-    return table
 
 
 def pairing(v: RationalSequence, x: RationalSequence) -> GaussianRational:

@@ -22,7 +22,6 @@ from .errors import (
     MissingSplit,
     PoleOnCircle,
     ZeroDenominator,
-    ZeroOnCircle,
     ZeroSymbol,
 )
 from .poly import (
@@ -271,7 +270,7 @@ def invert_symbol(f: RationalSymbol) -> RationalSymbol:
     if f.is_zero():
         raise ZeroSymbol("the zero symbol has no inverse")
     if f.split is None:
-        raise MissingSplit("inverse symbol needs a CircleSplit witness")
+        raise MissingSplit(f"symbol {f} has no CircleSplit; its inverse is unavailable")
     return make_factored(
         f.split.scale.inv(), -f.shift, list(f.split.poles), list(f.split.zeros)
     )
@@ -308,12 +307,11 @@ def winding_number(f: RationalSymbol) -> int:
     """Exact winding of f around 0 along the unit circle.
 
     Equals shift + (zeros of num inside) - (zeros of den inside); needs
-    no split witness.
+    no split witness.  The disk count of num raises ZeroOnCircle when num
+    vanishes on the circle.
     """
     if f.is_zero():
         raise ZeroSymbol("winding of the zero symbol")
-    if not f.num.is_constant() and has_zero_on_circle(f.num):
-        raise ZeroOnCircle(f"symbol numerator {f.num} vanishes on the circle")
     inside_num = 0 if f.num.is_constant() else count_zeros_in_disk(f.num)
     inside_den = 0 if f.den.is_constant() else count_zeros_in_disk(f.den)
     return f.shift + inside_num - inside_den

@@ -47,6 +47,12 @@ def test_parse_error_exit_1(capsys):
     assert "parse error" in err
 
 
+def test_deep_nesting_is_a_parse_error(capsys):
+    code, _, err = run(capsys, "index", "(" * 3000 + "T(z)" + ")" * 3000)
+    assert code == 1
+    assert "parse error" in err and "nested" in err
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, "analyze")
     assert code == 1
@@ -68,6 +74,13 @@ def test_entries_block_out_of_range(capsys):
     code, _, err = run(capsys, "entries", "T(z)", "--block", "5")
     assert code == 2
     assert "precondition" in err
+
+
+@pytest.mark.parametrize("size", [["--rows", "-3"], ["--cols", "-1"]])
+def test_entries_negative_size_exit_2(capsys, size):
+    code, out, err = run(capsys, "entries", "T(z)", *size)
+    assert code == 2
+    assert out == "" and "negative" in err
 
 
 def test_entries_missing_split_exit_2(capsys):

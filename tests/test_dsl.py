@@ -48,7 +48,10 @@ def test_parse_error_positions():
 @pytest.mark.parametrize(
     "bad",
     ["", "T()", "T(z) ++ T(z)", "M[[1,2],[3]]", "M[[1,2]]", "FR{e0}", "geo(1/2)",
-     "T(z) *", "FR{geo(2) | e0}", "T(z) extra"],
+     "T(z) *", "FR{geo(2) | e0}", "T(z) extra",
+     pytest.param("(" * 3000 + "T(z)" + ")" * 3000, id="nested-3000"),
+     pytest.param("T(" + "(" * 3000 + "z" + ")" * 3000 + ")", id="nested-symbol-3000"),
+     pytest.param("-" * 3000 + "T(z)", id="signs-3000")],
 )
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from bfredholm.dsl import evaluate, parse
 from bfredholm.engine import (
     FREDHOLM_CLASSES,
     SCAN_DIRECTIONS,
@@ -12,6 +14,7 @@ from bfredholm.engine import (
     index_winding,
     nonstability_demo,
     punctured_scan,
+    random_ideal_element,
     verify_fedosov,
     verify_ideal_perturbation,
     verify_log_law,
@@ -22,16 +25,29 @@ from bfredholm.errors import NotBezout, NotBFredholm, NotCommuting
 from bfredholm.matrices import jordan_nilpotent, matrix
 from bfredholm.numeric import winding_oracle
 from bfredholm.operators import (
+    BlockOperator,
+    MatrixBlock,
+    ToeplitzBlock,
     direct_sum,
+    embed_finite_rank,
     identity_like,
     matrix_operator,
+    op_arith,
+    op_power,
     op_scale,
     scalar_shift,
     toeplitz_operator,
 )
 from bfredholm.poly import poly
 from bfredholm.scalars import gr
-from bfredholm.symbols import invert_symbol, make_factored, make_symbol, sym_arith
+from bfredholm.symbols import (
+    ZERO_SYMBOL,
+    invert_symbol,
+    make_factored,
+    make_symbol,
+    sym_arith,
+    sym_equal,
+)
 
 HALF = gr(Fraction(1, 2))
 Z = make_symbol(poly([0, 1]), poly([1]))
@@ -79,6 +95,79 @@ def test_drazin_witness_modes_agree():
         assert w.defects_in_ideal()
         assert index_trace(a, w) == index_winding(a) == -1
     assert drazin_witness(a).quotient_index == 3
+
+
+def test_nilpotent_beside_product_is_certified_in_the_quotient():
+    # d3 = a^(p+1) a0 - a^p with p = 3 used to power the whole product
+    f = "T((z - 2) * (z - 1/2) / ((z - 1/3) * (z - 3)))"
+    a = evaluate(parse(f"{f} * {f} (++) M[[0,1,0],[0,0,1],[0,0,0]]"))
+    rep = analyze(a)
+    assert rep.index_trace == rep.index_winding == 0
+    assert rep.quotient_index == 3
+    w = drazin_witness(a)
+    assert w.defects[1].blocks[0].correction.terms == ()
+    assert w.defects[2].blocks[0].correction.terms == ()
+
+
+def test_trace_route_note_names_the_symbol():
+    a = evaluate(parse("T(z^3 - 1/3*z + 1/5) (++) T(z)"))
+    rep = analyze(a)
+    assert rep.index_trace is None and rep.index_winding == -4
+    assert rep.pathway_notes[-1].startswith("trace route unavailable: ")
+    assert f"symbol {a.blocks[0].symbol} has no CircleSplit" in rep.pathway_notes[-1]
+
+
+def test_index_trace_takes_the_commutator_with_the_given_operator():
+    w = drazin_witness(TZ)
+    assert index_trace(TZ, w) == -1
+    # tau([2 T(z), T(1/z)]) = -2: the commutator is built from a, not from w
+    assert index_trace(op_scale(TZ, gr(2)), w) == -2
+
+
+_INNER = [gr(Fraction(1, 2)), gr(Fraction(-1, 3)), gr(0, Fraction(1, 2)), gr(Fraction(1, 3), Fraction(1, 3))]
+_OUTER = [gr(2), gr(-3), gr(0, 2), gr(Fraction(3, 2), Fraction(-3, 2))]
+_MATRICES = [
+    jordan_nilpotent(2),
+    jordan_nilpotent(3),
+    matrix([[2, 1], [0, 3]]),                  # invertible
+    matrix([[2, 0, 0], [0, 0, 1], [0, 0, 0]]),  # invertible (+) nilpotent
+]
+
+
+def _random_operator(seed: int, rng: random.Random) -> BlockOperator:
+    """T(f) + FR, then a zero-symbol block on odd seeds, then a matrix block."""
+    f = make_factored(
+        gr(rng.randint(1, 3)), rng.randint(-1, 1),
+        [(rng.choice(_INNER + _OUTER), 1)], [(rng.choice(_INNER + _OUTER), 1)],
+    )
+    blocks = [ToeplitzBlock(f, random_ideal_element(rng))]
+    if seed % 2:
+        blocks.append(ToeplitzBlock(ZERO_SYMBOL, random_ideal_element(rng)))
+    blocks.append(MatrixBlock(_MATRICES[seed // 2 % len(_MATRICES)]))
+    return BlockOperator(tuple(blocks))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_quotient_defects_match_full_operator_reference(seed):
+    rng = random.Random(seed)
+    a = _random_operator(seed, rng)
+    perturbed = op_arith(a, embed_finite_rank(a, random_ideal_element(rng), 0), "add")
+    for mode in ("drazin", "zero"):
+        w = drazin_witness(a, matrix_mode=mode)
+        a0, p = w.inverse, w.quotient_index
+        d1 = op_arith(op_arith(a, a0, "mul"), op_arith(a0, a, "mul"), "sub")
+        d2 = op_arith(op_arith(op_arith(a0, a, "mul"), a0, "mul"), a0, "sub")
+        d3 = op_arith(op_arith(op_power(a, p + 1), a0, "mul"), op_power(a, p), "sub")
+        for full, quotient in zip((d1, d2, d3), w.defects, strict=True):
+            for x, y in zip(full.blocks, quotient.blocks, strict=True):
+                if isinstance(x, ToeplitzBlock):
+                    assert sym_equal(x.symbol, y.symbol) and y.correction.terms == ()
+                else:
+                    assert x.m == y.m
+        assert w.defects_in_ideal()
+        assert index_trace(a, w) == index_winding(a)
+        # a witness of a is one of a + j too; its commutator is recomputed
+        assert index_trace(perturbed, w) == index_winding(perturbed) == index_winding(a)
 
 
 @pytest.mark.parametrize(
@@ -182,3 +271,9 @@ def test_numeric_winding_oracle(f):
     from bfredholm.symbols import winding_number
 
     assert winding_oracle(f) == winding_number(f)
+
+
+@pytest.mark.parametrize("route", [index_winding, drazin_witness, index_trace, verify_fedosov])
+def test_index_routes_reject_not_in_class(route):
+    with pytest.raises(NotBFredholm):
+        route(toeplitz_operator(make_symbol(poly([-1, 1]), poly([1]))))

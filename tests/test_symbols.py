@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bfredholm.errors import MissingSplit, ZeroSymbol
+from bfredholm.errors import MissingSplit, ZeroOnCircle, ZeroSymbol
 from bfredholm.poly import poly
 from bfredholm.scalars import gr
 from bfredholm.symbols import (
@@ -54,6 +54,12 @@ def test_canonical_shift_extraction():
 )
 def test_winding_number(f, w):
     assert winding_number(f) == w
+
+
+def test_winding_number_rejects_circle_zero():
+    # z^2 (z + 1) / (z + 1/2): the disk count of the numerator finds z = -1
+    with pytest.raises(ZeroOnCircle):
+        winding_number(make_symbol(poly([0, 0, 1, 1]), poly([gr(Fraction(1, 2)), 1])))
 
 
 def test_winding_additive_under_mul():

@@ -226,6 +226,11 @@ OpNode = TAtom | IdentityAtom | FRAtom | MatrixAtom | OpBin | OpNeg | OpScalarMu
 # Deepest nesting of parentheses, signs and scalar prefixes that parse
 # accepts; the recursive descent stays far inside Python's recursion limit.
 MAX_DEPTH = 100
+# Highest AST that parse accepts.  A chain such as ``a + b + c`` nests to
+# the left, one level per operator, without deepening the descent.  The
+# evaluators and the pretty-printer recurse one frame per level, and the
+# generated ``==`` of the frozen nodes three.
+MAX_HEIGHT = 200
 
 
 def _nested(step):
@@ -555,8 +560,34 @@ def _fold(node: SymNode) -> SymNode:
     return node
 
 
+def _children(node) -> tuple:
+    if isinstance(node, (SBin, OpBin)):
+        return (node.left, node.right)
+    if isinstance(node, (SNeg, OpNeg, OpScalarMul)):
+        return (node.arg,)
+    if isinstance(node, SPow):
+        return (node.base,)
+    if isinstance(node, TAtom):
+        return (node.sym,)
+    if isinstance(node, DirectSum):
+        return node.parts
+    return ()
+
+
+def _height(node) -> int:
+    """Levels of the AST below and including node, counted without recursion."""
+    height, stack = 0, [(node, 1)]
+    while stack:
+        node, h = stack.pop()
+        height = max(height, h)
+        stack.extend((child, h + 1) for child in _children(node))
+    return height
+
+
 def parse(text: str) -> OpNode:
     ast = _Parser(tokenize(text)).parse_program()
+    if _height(ast) > MAX_HEIGHT:
+        raise ParseError(f"expression tree more than {MAX_HEIGHT} levels high", 1, 1)
     check_signature(ast)
     return ast
 

@@ -1,9 +1,7 @@
-"""Univariate polynomials over Q(i), plus real Sturm-sequence helpers.
+"""Univariate polynomials over Q(i).
 
 Coefficients are stored lowest degree first; the zero polynomial is the
-empty coefficient tuple.  Real-coefficient helpers (used by the Sturm and
-Cauchy-index machinery) work on plain ``Fraction`` lists to keep the root
-counting code easy to audit.
+empty coefficient tuple.
 """
 
 from __future__ import annotations
@@ -189,13 +187,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic() if not a.is_zero() else a
 
 
-def poly_pow(a: Polynomial, n: int) -> Polynomial:
-    out = P_ONE
-    for _ in range(n):
-        out = out * a
-    return out
-
-
 def from_roots(scale: GaussianRational, roots: Sequence[tuple[GaussianRational, int]]) -> Polynomial:
     """scale * prod (z - r)^m."""
     out = Polynomial((scale,))
@@ -224,107 +215,3 @@ def rising_binom_poly(k: int) -> Polynomial:
         out = out * poly([j, 1])
         fact *= j
     return out.scale(gr(Fraction(1, fact)))
-
-
-# ---------------------------------------------------------------------------
-# Real-coefficient helpers for Sturm chains and Cauchy indices.
-# ---------------------------------------------------------------------------
-
-
-def rp_trim(p: list[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def rp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = rp_trim(a)
-    b = rp_trim(b)
-    if not b:
-        raise ZeroPolynomial("real division by zero polynomial")
-    if len(a) < len(b):
-        return [], a
-    rem = list(a)
-    quot = [Fraction(0)] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] / b[-1]
-        quot[k] = c
-        if c:
-            for j, bc in enumerate(b):
-                rem[k + j] -= c * bc
-    return rp_trim(quot), rp_trim(rem)
-
-
-def rp_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = rp_trim(a), rp_trim(b)
-    while b:
-        _, r = rp_divmod(a, b)
-        a, b = b, r
-    return a
-
-
-def rp_derivative(p: list[Fraction]) -> list[Fraction]:
-    return [k * c for k, c in enumerate(p)][1:]
-
-
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
-
-
-def _sign_at_inf(p: list[Fraction], positive: bool) -> int:
-    p = rp_trim(p)
-    if not p:
-        return 0
-    s = _sign(p[-1])
-    if not positive and (len(p) - 1) % 2 == 1:
-        s = -s
-    return s
-
-
-def _variations(signs: list[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _sturm_like_chain(s0: list[Fraction], s1: list[Fraction]) -> list[list[Fraction]]:
-    chain = [rp_trim(s0), rp_trim(s1)]
-    while chain[-1]:
-        _, r = rp_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return [c for c in chain if c]
-
-
-def count_real_roots(p: list[Fraction]) -> int:
-    """Number of distinct real roots of p over (-inf, inf), exactly."""
-    p = rp_trim(p)
-    if not p:
-        raise ZeroPolynomial("root count of the zero polynomial")
-    if len(p) == 1:
-        return 0
-    g = rp_gcd(p, rp_derivative(p))
-    if len(g) > 1:
-        p, _ = rp_divmod(p, g)  # square-free part
-    chain = _sturm_like_chain(p, rp_derivative(p))
-    v_neg = _variations([_sign_at_inf(c, positive=False) for c in chain])
-    v_pos = _variations([_sign_at_inf(c, positive=True) for c in chain])
-    return v_neg - v_pos
-
-
-def cauchy_index(denom: list[Fraction], numer: list[Fraction]) -> int:
-    """Cauchy index of numer/denom over the whole real line.
-
-    Counts jumps of the rational function from -inf to +inf minus jumps
-    from +inf to -inf, via a generalized Sturm chain.
-    """
-    denom, numer = rp_trim(denom), rp_trim(numer)
-    if not numer:
-        return 0
-    if not denom:
-        raise ZeroPolynomial("Cauchy index with zero denominator")
-    chain = _sturm_like_chain(denom, numer)
-    v_neg = _variations([_sign_at_inf(c, positive=False) for c in chain])
-    v_pos = _variations([_sign_at_inf(c, positive=True) for c in chain])
-    return v_neg - v_pos

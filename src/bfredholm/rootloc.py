@@ -1,44 +1,107 @@
-"""Exact root location relative to the unit circle.
+"""Exact root location relative to the unit circle, in integer arithmetic.
+
+Every routine works on a primitive Gaussian-integer multiple of its input:
+clearing denominators and dividing out the integer content moves no root.
+Such a polynomial is a pair of ``int`` lists (real parts, imaginary parts),
+lowest degree first.
 
 Circle-zero detection maps the circle to the real line by the Cayley
-transform z = (1+it)/(1-it) and counts real roots with Sturm sequences
-(the point z = -1 is tested by direct evaluation).  Disk counting runs
-the Schur-Cohn recursion; a degenerate step (reflection coefficient of
-modulus exactly one) falls back to an exact argument-principle count
-built on Cauchy indices over the same Cayley image.
+transform z = (1+it)/(1-it).  The image (1-it)^n p((1+it)/(1-it)) is built
+by Horner's rule in O(n^2) integer operations; p has a zero on the circle
+other than z = -1 (tested by direct evaluation) iff the real and imaginary
+parts of the image have a common real root.  Disk counting runs the
+Schur-Cohn recursion as a loop and divides each iterate by its content; a
+degenerate step (reflection coefficient of modulus exactly one) falls back
+to an exact argument-principle count from the Cauchy index of the same
+image.  Real root counts, gcds and Cauchy indices come from Sturm chains
+built as primitive pseudo-remainder sequences over Z (Collins 1967; Brown
+and Traub 1971), with positive multipliers so that every sign is kept.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ZeroOnCircle, ZeroPolynomial
-from .poly import (
-    Polynomial,
-    cauchy_index,
-    count_real_roots,
-    poly,
-    rp_trim,
-)
-from .scalars import gr
-
-_CAYLEY_PLUS = poly([1, gr(0, 1)])  # 1 + i t
-_CAYLEY_MINUS = poly([1, gr(0, -1)])  # 1 - i t
+from .poly import Polynomial
 
 
-def _cayley_numerator(p: Polynomial) -> Polynomial:
-    """q(t) = (1 - it)^n * p((1+it)/(1-it)) as a polynomial in t."""
-    n = p.degree
-    plus_pows = [Polynomial((gr(1),))]
-    minus_pows = [Polynomial((gr(1),))]
-    for _ in range(n):
-        plus_pows.append(plus_pows[-1] * _CAYLEY_PLUS)
-        minus_pows.append(minus_pows[-1] * _CAYLEY_MINUS)
-    q = Polynomial(())
-    for k, a in enumerate(p.coeffs):
-        if not a.is_zero():
-            q = q + (plus_pows[k] * minus_pows[n - k]).scale(a)
-    return q
+def _integer_form(p: Polynomial) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts of a primitive Gaussian-integer multiple of p."""
+    d = lcm(*(q.denominator for c in p.coeffs for q in (c.re, c.im)))
+    re = [c.re.numerator * (d // c.re.denominator) for c in p.coeffs]
+    im = [c.im.numerator * (d // c.im.denominator) for c in p.coeffs]
+    g = gcd(*re, *im)
+    return [a // g for a in re], [b // g for b in im]
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _cayley(re: list[int], im: list[int]) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts of (1-it)^n p((1+it)/(1-it)), trimmed.
+
+    Horner's rule h <- h*(1+it) + c_k*(1-it)^(n-k) for k = n, ..., 0; the
+    coefficient of t^m in (1-it)^j is C(j, m)*(-i)^m.  Updating m from the
+    top down reads only coefficients that this step has not yet changed.
+    """
+    n = len(re) - 1
+    hr, hi, row = [0] * (n + 1), [0] * (n + 1), [1] + [0] * n
+    for j in range(n + 1):
+        a, b = re[n - j], im[n - j]
+        turns = ((a, b), (b, -a), (-a, -b), (-b, a))  # c_k*(-i)^m by m mod 4
+        for m in range(j, 0, -1):
+            row[m] += row[m - 1]
+            x, y = turns[m & 3]
+            hr[m], hi[m] = hr[m] - hi[m - 1] + row[m] * x, hi[m] + hr[m - 1] + row[m] * y
+        hr[0] += a
+        hi[0] += b
+    return _trim(hr), _trim(hi)
+
+
+def _sturm_chain(f0: list[int], f1: list[int]):
+    """f0, f1, then -prem(f_{k-1}, f_k) made primitive, until it vanishes.
+
+    prem multiplies by |lc(f_k)| at each elimination step, so every element
+    is a positive multiple of the Sturm remainder and has its signs.  The
+    last element is a gcd of f0 and f1.
+    """
+    yield f0
+    a, b = f0, f1
+    while b:
+        yield b
+        lb = b[-1]
+        l, s = abs(lb), (1 if lb > 0 else -1)
+        r = list(a)
+        while len(r) >= len(b):
+            k, c = len(r) - len(b), s * r[-1]
+            r = _trim([l * x for x in r[:k]] + [l * x - c * y for x, y in zip(r[k:-1], b)])
+        if r:
+            g = gcd(*r)
+            r = [-x // g for x in r]
+        a, b = b, r
+
+
+def _cauchy_index(den: list[int], num: list[int]) -> int:
+    """Cauchy index of num/den over the real line (den nonzero).
+
+    V(-inf) - V(+inf) over the Sturm chain of den and num; an element of
+    degree d has the sign of its leading coefficient at +inf, times (-1)^d
+    at -inf.
+    """
+    v_neg = v_pos = 0
+    prev = None
+    for f in _sturm_chain(den, num):
+        pos = f[-1] > 0
+        neg = pos == (len(f) % 2 == 1)
+        if prev is not None:
+            v_neg += neg != prev[0]
+            v_pos += pos != prev[1]
+        prev = (neg, pos)
+    return v_neg - v_pos
 
 
 def has_zero_on_circle(p: Polynomial) -> bool:
@@ -47,53 +110,43 @@ def has_zero_on_circle(p: Polynomial) -> bool:
         raise ZeroPolynomial("circle test on the zero polynomial")
     if p.is_constant():
         return False
-    if p.eval(gr(-1)).is_zero():
-        return True
-    q = _cayley_numerator(p)
-    qr = rp_trim([c.re for c in q.coeffs])
-    qi = rp_trim([c.im for c in q.coeffs])
-    if not qr and not qi:
-        return False  # unreachable: q = 0 would force p = 0
-    if not qr:
-        g = qi
-    elif not qi:
-        g = qr
+    re, im = _integer_form(p)
+    if not sum(re[::2]) - sum(re[1::2]) and not sum(im[::2]) - sum(im[1::2]):
+        return True  # p(-1) = 0
+    qr, qi = _cayley(re, im)
+    if qr and qi:
+        *_, g = _sturm_chain(qr, qi)
     else:
-        from .poly import rp_gcd
-
-        g = rp_gcd(qr, qi)
-    if len(g) <= 1:
-        return False
-    return count_real_roots(g) > 0
+        g = qr or qi
+    # distinct real roots of g: the Cauchy index of g'/g
+    return len(g) > 1 and _cauchy_index(g, [k * c for k, c in enumerate(g)][1:]) > 0
 
 
-def _winding_count(p: Polynomial) -> int:
+def _winding_count(re: list[int], im: list[int]) -> int:
     """Zeros of p inside the unit disk via an exact argument principle.
 
     Requires p(0) != 0 and no zeros on the circle.  The winding of p
     around the circle is recovered from the Cauchy index of the Cayley
     image q(t) = qr(t) + i*qi(t).
     """
-    n = p.degree
+    n = len(re) - 1
     if n == 0:
         return 0
-    q = _cayley_numerator(p)
-    qr = rp_trim([c.re for c in q.coeffs])
-    qi = rp_trim([c.im for c in q.coeffs])
-    jump_index = cauchy_index(qr, qi) if qr else 0
-    # Boundary contribution of arctan(qi/qr) at t = +/- infinity, in units
-    # of pi: nonzero only when deg qi > deg qr.
-    boundary = 0
-    di, dr = len(qi) - 1, len(qr) - 1
+    qr, qi = _cayley(re, im)
     if not qr:
         # q is purely imaginary on the real line: no real-axis crossings,
         # and the argument is constant +/- pi/2.
+        jump_index = boundary = 0
+    else:
+        jump_index = _cauchy_index(qr, qi)
+        # Boundary contribution of arctan(qi/qr) at t = +/- infinity, in
+        # units of pi: nonzero only when deg qi > deg qr.
         boundary = 0
-        jump_index = 0
-    elif di > dr:
-        s_pos = 1 if (qi[-1] / qr[-1]) > 0 else -1
-        s_neg = s_pos * (1 if (di - dr) % 2 == 0 else -1)
-        boundary = (s_pos - s_neg) // 2  # in units of pi
+        di, dr = len(qi) - 1, len(qr) - 1
+        if di > dr:
+            s_pos = 1 if (qi[-1] > 0) == (qr[-1] > 0) else -1
+            s_neg = s_pos * (1 if (di - dr) % 2 == 0 else -1)
+            boundary = (s_pos - s_neg) // 2
     total = boundary - jump_index + n  # Delta arg / pi plus n
     if total % 2 != 0:
         raise AssertionError("argument-principle count is not an integer")
@@ -113,28 +166,33 @@ def count_zeros_in_disk(p: Polynomial) -> int:
         p = Polynomial(p.coeffs[m:])
     if has_zero_on_circle(p):
         raise ZeroOnCircle(f"{p} has a zero on the unit circle")
-    return m + _schur_cohn(p)
+    return m + _schur_cohn(*_integer_form(p))
 
 
-def _schur_cohn(p: Polynomial) -> int:
-    """Schur-Cohn recursion; p(0) != 0 and no circle zeros (preserved)."""
-    n = p.degree
-    if n <= 0:
-        return 0
-    a0 = p.coeffs[0]
-    an = p.leading()
-    delta: Fraction = a0.abs2() - an.abs2()
-    if delta == 0:
-        return _winding_count(p)
-    q = p.scale(a0.conj()) - p.reverse_conj().scale(an)
-    # q(0) = delta != 0 and |q| >= ||a0|-|an|| |p| > 0 on the circle.
-    if delta > 0:
-        return _schur_cohn(q)
-    return n - _schur_cohn(q)
+def _schur_cohn(re: list[int], im: list[int]) -> int:
+    """Schur-Cohn recursion as a loop; p(0) != 0 and no circle zeros.
 
-
-def count_zeros_outside_disk(p: Polynomial) -> int:
-    """Zeros with |z| > 1, with multiplicity; same preconditions."""
-    if p.is_zero():
-        raise ZeroPolynomial("disk count of the zero polynomial")
-    return p.degree - count_zeros_in_disk(p)
+    Each step replaces p by q = conj(a0)*p - an*p*, where p* is the
+    conjugate reciprocal.  q(0) = |a0|^2 - |an|^2 = delta != 0, q has the
+    circle zeros of p (none), and by Rouche q has the zeros of p inside
+    the disk when delta > 0 and those of p* (n minus those of p) when
+    delta < 0.  The count so far is ``count + sign * (zeros of q)``.
+    """
+    count, sign = 0, 1
+    while len(re) > 1:
+        n = len(re) - 1
+        a, b, c, d = re[0], im[0], re[-1], im[-1]
+        delta = a * a + b * b - c * c - d * d
+        if delta == 0:
+            return count + sign * _winding_count(re, im)
+        rev = list(zip(re[::-1], im[::-1]))
+        qr = [a * x + b * y - c * u - d * v for x, y, (u, v) in zip(re[:-1], im[:-1], rev)]
+        qi = [a * y - b * x - d * u + c * v for x, y, (u, v) in zip(re[:-1], im[:-1], rev)]
+        while not qr[-1] and not qi[-1]:
+            qr.pop()
+            qi.pop()
+        g = gcd(*qr, *qi)
+        re, im = [x // g for x in qr], [y // g for y in qi]
+        if delta < 0:
+            count, sign = count + sign * n, -sign
+    return count

@@ -144,10 +144,11 @@ def make_symbol(num: Polynomial, den: Polynomial, shift: int = 0) -> RationalSym
         raise ZeroDenominator("symbol denominator is the zero polynomial")
     if num.is_zero():
         return ZERO_SYMBOL
-    g = poly_gcd(num, den)
-    if not g.is_constant():
-        num, _ = poly_divmod(num, g)
-        den, _ = poly_divmod(den, g)
+    if not num.is_constant() and not den.is_constant():
+        g = poly_gcd(num, den)
+        if not g.is_constant():
+            num, _ = poly_divmod(num, g)
+            den, _ = poly_divmod(den, g)
     zn = num.order_at_zero()
     zd = den.order_at_zero()
     if zn:

@@ -24,6 +24,7 @@ from bfredholm.matrices import (
 )
 from bfredholm.operators import op_arith, toeplitz_operator
 from bfredholm.poly import poly
+from bfredholm.rootloc import count_zeros_in_disk
 from bfredholm.scalars import gr
 from bfredholm.suites import run_suite
 from bfredholm.symbols import invert_symbol, make_symbol
@@ -175,3 +176,23 @@ def test_criterion_12_cli_and_round_trip(capsys):
         detail = "analyze T(z-1) did not exit 2"
     capsys.readouterr()  # swallow CLI output; keep the criterion line clean
     _plain_criterion(12, "50 AST round trips and CLI exit codes", ok, detail)
+
+
+def test_budget_index_of_degree_400_symbol(capsys):
+    start = time.monotonic()
+    code = cli.main(["index", "T(z^400 - 1/2)"])
+    elapsed = time.monotonic() - start
+    out = capsys.readouterr().out
+    assert code == 0 and out.split()[0] == "-400", out
+    assert elapsed < 5.0, f"index of T(z^400 - 1/2) took {elapsed:.2f}s (budget 5s)"
+
+
+def test_budget_dense_degree_80_disk_count():
+    rng = random.Random(3)
+    p = poly([gr(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(81)])
+    start = time.monotonic()
+    inside = count_zeros_in_disk(p)
+    elapsed = time.monotonic() - start
+    # numpy's root moduli give 40 inside, none within 1e-4 of the circle
+    assert inside == 40
+    assert elapsed < 5.0, f"degree-80 disk count took {elapsed:.2f}s (budget 5s)"

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from bfredholm.cli import main
+from bfredholm.dsl import MAX_HEIGHT
 
 
 def run(capsys, *argv):
@@ -51,6 +52,24 @@ def test_deep_nesting_is_a_parse_error(capsys):
     code, _, err = run(capsys, "index", "(" * 3000 + "T(z)" + ")" * 3000)
     assert code == 1
     assert "parse error" in err and "nested" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [pytest.param(" + ".join(["T(z)"] * 3000), id="operator-chain-3000"),
+     pytest.param("T(" + " + ".join(["z"] * 3000) + ")", id="symbol-chain-3000")],
+)
+def test_long_chain_is_a_parse_error(capsys, text):
+    code, _, err = run(capsys, "index", text)
+    assert code == 1
+    assert "parse error" in err and "levels high" in err
+
+
+def test_chain_at_the_height_bound(capsys):
+    # n terms of T(z) make a tree n + 1 levels high: n - 1 operators, T, z
+    code, out, _ = run(capsys, "index", " + ".join(["T(z)"] * (MAX_HEIGHT - 1)))
+    assert code == 0
+    assert out.split()[0] == "-1"
 
 
 def test_usage_error_exit_1(capsys):

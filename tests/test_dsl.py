@@ -3,7 +3,7 @@ import random
 import pytest
 
 from astgen import random_ast
-from bfredholm.dsl import evaluate, parse, pretty
+from bfredholm.dsl import MAX_HEIGHT, evaluate, parse, pretty
 from bfredholm.errors import ParseError, SignatureMismatch
 
 
@@ -56,6 +56,15 @@ def test_parse_error_positions():
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse(bad)
+
+
+def test_height_bound():
+    # T(z + ... + z) with n terms is n + 1 levels high: T, n - 1 operators, z
+    terms = ["z"] * (MAX_HEIGHT - 1)
+    ast = parse("T(" + " + ".join(terms) + ")")
+    assert parse(pretty(ast)) == ast
+    with pytest.raises(ParseError):
+        parse("T(" + " + ".join(terms + ["z"]) + ")")
 
 
 def test_signature_mismatch():

@@ -9,18 +9,25 @@ from bfredholm.poly import (
     poly,
     poly_divmod,
     poly_gcd,
-    poly_pow,
 )
-from bfredholm.rootloc import (
-    count_zeros_in_disk,
-    count_zeros_outside_disk,
-    has_zero_on_circle,
-)
+from bfredholm.rootloc import count_zeros_in_disk, has_zero_on_circle
 from bfredholm.scalars import gr
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 scalars = st.builds(gr, fracs, fracs)
 polys = st.lists(scalars, min_size=0, max_size=5).map(poly)
+
+
+def poly_pow(a: Polynomial, n: int) -> Polynomial:
+    out = poly([1])
+    for _ in range(n):
+        out = out * a
+    return out
+
+
+def count_zeros_outside_disk(p: Polynomial) -> int:
+    """Zeros with |z| > 1, with multiplicity; same preconditions."""
+    return p.degree - count_zeros_in_disk(p)
 
 
 @given(polys, polys, scalars)
@@ -77,6 +84,10 @@ def _roots_poly(roots):
         ([((2, 0), 1), ((Fraction(1, 2), 0), 1)], 1),
         ([((Fraction(-2, 3), 0), 1), ((Fraction(-3, 2), 0), 1)], 1),
         ([((0, 0), 3)], 3),
+        # odd degree with |a0| = |an|: the fallback's leading coefficient is
+        # purely imaginary, so its boundary term at t = +/- infinity counts
+        ([((2, 0), 2), ((Fraction(1, 4), 0), 1)], 1),
+        ([((0, 2), 1), ((0, Fraction(-1, 3)), 1), ((Fraction(3, 2), 0), 1)], 1),
     ],
 )
 def test_count_zeros_in_disk(roots, inside):

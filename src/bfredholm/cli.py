@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 parse or usage error; 2 precondition failure
-(not in class, missing circle split, signature mismatch); 3 internal
+(not in class, missing circle split, signature mismatch, an input over
+one of the input budgets); 3 internal
 consistency failure (non-integer trace, oracle disagreement).  All
 scalars in output are exact fraction strings; no floating point is ever
 printed.
@@ -22,6 +23,7 @@ from .engine import (
     punctured_scan,
 )
 from .errors import (
+    BudgetExceeded,
     ExactError,
     IndexOutOfRange,
     MissingSplit,
@@ -41,6 +43,10 @@ EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_INTERNAL = 3
 
+# Input budget of the entries command: each entry is an exact value whose
+# size grows with its index.
+MAX_WINDOW = 200
+
 _PRECONDITION = (
     NotBFredholm,
     MissingSplit,
@@ -48,6 +54,7 @@ _PRECONDITION = (
     NotCommuting,
     NotBezout,
     IndexOutOfRange,
+    BudgetExceeded,
 )
 _INTERNAL = (NonIntegerTrace, OracleMismatch)
 
@@ -160,6 +167,8 @@ def cmd_entries(args) -> tuple[int, str]:
         raise IndexOutOfRange(f"block {args.block} of {len(op.blocks)}")
     if args.rows < 0 or args.cols < 0:
         raise IndexOutOfRange(f"window size {args.rows}x{args.cols} is negative")
+    if max(args.rows, args.cols) > MAX_WINDOW:
+        raise BudgetExceeded("window side", max(args.rows, args.cols), "MAX_WINDOW", MAX_WINDOW)
     rows = []
     for i in range(args.rows):
         rows.append(

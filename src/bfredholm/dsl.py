@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, SignatureMismatch, ZeroSymbol
+from .errors import BudgetExceeded, ParseError, SignatureMismatch, ZeroSymbol
 from .finiterank import FR_ZERO, make_finite_rank
 from .matrices import matrix as make_matrix
 from .operators import (
@@ -95,6 +95,10 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise BudgetExceeded(
+                    "integer literal of length", j - i, "MAX_LITERAL_DIGITS", MAX_LITERAL_DIGITS
+                )
             out.append(Token("int", text[i:j], line, col))
             col += j - i
             i = j
@@ -232,6 +236,19 @@ MAX_DEPTH = 100
 # generated ``==`` of the frozen nodes three.
 MAX_HEIGHT = 200
 
+# Input budgets.  Each bounds a size that the cost of evaluating or
+# analyzing an input grows with faster than linearly, and is set so that
+# an input at the bound finishes in a few seconds; an input past one
+# raises BudgetExceeded, which names it.
+MAX_LITERAL_DIGITS = 1000  # digits of one integer literal
+MAX_EXPONENT = 400  # |k| in a symbol power f^k
+MAX_SYMBOL_DEGREE = 400  # deg num + deg den + |shift| of every symbol formed
+# deg num + deg den of a symbol with a circle split: its Laurent
+# expansions, and so the trace route, grow fastest with it.
+MAX_SPLIT_DEGREE = 32
+MAX_SEQ_INDEX = 500  # N in e<N>, and the last index of a fin[...] list
+MAX_GEO_DEGREE = 64  # d in geo(r; d)
+
 
 def _nested(step):
     """Count one nesting level around a recursive parse step."""
@@ -364,6 +381,8 @@ class _Parser:
         if self.peek().text == "^":
             self.next()
             exp = self.parse_int()
+            if abs(exp) > MAX_EXPONENT:
+                raise BudgetExceeded("exponent", exp, "MAX_EXPONENT", MAX_EXPONENT)
             node = _fold(SPow(node, exp))
         return node
 
@@ -393,6 +412,10 @@ class _Parser:
                 self.next()
                 values.append(self.parse_scalar())
             self.expect("]")
+            if len(values) - 1 > MAX_SEQ_INDEX:
+                raise BudgetExceeded(
+                    "last index of a fin list", len(values) - 1, "MAX_SEQ_INDEX", MAX_SEQ_INDEX
+                )
             return FinSeq(tuple(values))
         if t.kind == "id" and t.text == "geo":
             self.next()
@@ -404,6 +427,8 @@ class _Parser:
                 degree = self.parse_int()
                 if degree < 0:
                     raise ParseError("geo degree must be >= 0", t.line, t.col)
+                if degree > MAX_GEO_DEGREE:
+                    raise BudgetExceeded("geo degree", degree, "MAX_GEO_DEGREE", MAX_GEO_DEGREE)
             self.expect(")")
             if ratio.abs2() >= 1:
                 raise ParseError(
@@ -417,7 +442,10 @@ class _Parser:
             if idx.kind != "int":
                 self.fail("expected a basis index after 'e'")
             self.next()
-            return BasisSeq(int(idx.text))
+            index = int(idx.text)
+            if index > MAX_SEQ_INDEX:
+                raise BudgetExceeded("basis index", index, "MAX_SEQ_INDEX", MAX_SEQ_INDEX)
+            return BasisSeq(index)
         self.fail("expected a sequence ('fin', 'geo', or 'e')")
 
     def parse_matrix(self) -> MatrixAtom:
@@ -547,16 +575,8 @@ def _fold(node: SymNode) -> SymNode:
             return SConst(a / b)
     if isinstance(node, SPow) and isinstance(node.base, SConst):
         c = node.base.value
-        if node.exp >= 0:
-            out = ONE
-            for _ in range(node.exp):
-                out = out * c
-            return SConst(out)
-        if not c.is_zero():
-            out = ONE
-            for _ in range(-node.exp):
-                out = out * c
-            return SConst(out.inv())
+        if node.exp >= 0 or not c.is_zero():
+            return SConst(c**node.exp)
     return node
 
 
@@ -700,7 +720,26 @@ def check_signature(node: OpNode) -> tuple:
     raise TypeError(f"unknown node {node!r}")
 
 
+def _check_symbol(f: RationalSymbol, times: int = 1) -> None:
+    """Raise BudgetExceeded if f**times would be over a symbol budget."""
+    degree = (f.num.degree + f.den.degree) * times
+    size = degree + abs(f.shift) * times
+    if size > MAX_SYMBOL_DEGREE:
+        raise BudgetExceeded("symbol degree", size, "MAX_SYMBOL_DEGREE", MAX_SYMBOL_DEGREE)
+    if f.split is not None and degree > MAX_SPLIT_DEGREE:
+        raise BudgetExceeded(
+            "degree of a split symbol", degree, "MAX_SPLIT_DEGREE", MAX_SPLIT_DEGREE
+        )
+
+
 def eval_sym(node: SymNode) -> RationalSymbol:
+    """The symbol of node; every symbol formed on the way is within budget."""
+    f = _eval_sym(node)
+    _check_symbol(f)
+    return f
+
+
+def _eval_sym(node: SymNode) -> RationalSymbol:
     if isinstance(node, SVar):
         return make_symbol(poly([0, 1]), poly([1]))
     if isinstance(node, SConst):
@@ -710,7 +749,9 @@ def eval_sym(node: SymNode) -> RationalSymbol:
     if isinstance(node, SNeg):
         return sym_scale(eval_sym(node.arg), gr(-1))
     if isinstance(node, SPow):
-        return sym_pow(eval_sym(node.base), node.exp)
+        base = eval_sym(node.base)
+        _check_symbol(base, abs(node.exp))
+        return sym_pow(base, node.exp)
     left = eval_sym(node.left)
     right = eval_sym(node.right)
     if node.op == "+":
@@ -758,5 +799,9 @@ def _eval(node: OpNode) -> BlockOperator:
         left = _eval(node.left)
         right = _eval(node.right)
         op = {"+": "add", "-": "sub", "*": "mul"}[node.op]
-        return op_arith(left, right, op)
+        out = op_arith(left, right, op)
+        for b in out.blocks:
+            if isinstance(b, ToeplitzBlock):
+                _check_symbol(b.symbol)
+        return out
     raise TypeError(f"unknown node {node!r}")

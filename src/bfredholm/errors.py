@@ -53,6 +53,13 @@ class NotBFredholm(ExactError):
     pass
 
 
+class BudgetExceeded(ExactError):
+    """An input is over one of the input budgets, named in the message."""
+
+    def __init__(self, what: str, value: int, budget: str, bound: int):
+        super().__init__(f"{what} {value} is over the input budget {budget} = {bound}")
+
+
 class NonIntegerTrace(ExactError):
     """Internal consistency failure: the commutator trace must be an integer."""
 

@@ -109,7 +109,7 @@ def _coords(x: RationalSequence) -> dict:
     for r, p in x.tails:
         for k, c in enumerate(p.coeffs):
             if not c.is_zero():
-                out[("t", r.re, r.im, k)] = c
+                out[("t", r, k)] = c
     return out
 
 

@@ -91,14 +91,14 @@ def _conv_tail(E: LaurentExpansion, r: GaussianRational, P: Polynomial) -> Ratio
         closed = P_ZERO
         for m, c in enumerate(hp):
             if not c.is_zero():
-                closed = closed + P.taylor_shift(gr(-m)).scale(c * _ipow(r, -m))
+                closed = closed + P.taylor_shift(gr(-m)).scale(c * r**-m)
         tail = make_sequence([], [(r, closed)])
         corrections = []
         for i in range(len(hp) - 1):
             actual = ZERO
             for m in range(i + 1):
                 if m < len(hp) and not hp[m].is_zero():
-                    actual = actual + hp[m] * P.eval(gr(i - m)) * _ipow(r, i - m)
+                    actual = actual + hp[m] * P.eval(gr(i - m)) * r ** (i - m)
             corrections.append(actual - tail.value(i))
         out = out + tail + seq_finite(corrections)
     # geometric tails of the nonnegative coefficients
@@ -128,7 +128,7 @@ def _conv_tail(E: LaurentExpansion, r: GaussianRational, P: Polynomial) -> Ratio
         closed = P_ZERO
         for u, c in enumerate(hn):
             if not c.is_zero():
-                closed = closed + P.taylor_shift(gr(1 + u)).scale(c * _ipow(r, 1 + u))
+                closed = closed + P.taylor_shift(gr(1 + u)).scale(c * r ** (1 + u))
         out = out + make_sequence([], [(r, closed)])
     # geometric tails of the negative coefficients
     for sigma, psi in E.neg.tails:
@@ -141,13 +141,6 @@ def _conv_tail(E: LaurentExpansion, r: GaussianRational, P: Polynomial) -> Ratio
             acc = acc + delta.scale(w)
         out = out + make_sequence([], [(r, acc.scale(r))])
     return out
-
-
-def _ipow(a: GaussianRational, k: int) -> GaussianRational:
-    out = ONE
-    for _ in range(abs(k)):
-        out = out * a
-    return out if k >= 0 else out.inv()
 
 
 def toeplitz_apply(f: RationalSymbol, x: RationalSequence) -> RationalSequence:
@@ -179,11 +172,11 @@ def hankel_cross(a: RationalSequence, b: RationalSequence) -> FiniteRankOperator
     for sigma, q in b.tails:
         for k in range(len(ha)):
             u = seq_finite(ha[k:])
-            v = make_sequence([], [(sigma, q.taylor_shift(gr(k)).scale(_ipow(sigma, k)))])
+            v = make_sequence([], [(sigma, q.taylor_shift(gr(k)).scale(sigma**k))])
             terms.append((u, v))
     for rho, p in a.tails:
         for k in range(len(hb)):
-            u = make_sequence([], [(rho, p.taylor_shift(gr(k)).scale(_ipow(rho, k)))])
+            u = make_sequence([], [(rho, p.taylor_shift(gr(k)).scale(rho**k))])
             v = seq_finite(hb[k:])
             terms.append((u, v))
     for rho, p in a.tails:

@@ -28,9 +28,9 @@ from .poly import Polynomial
 
 def _integer_form(p: Polynomial) -> tuple[list[int], list[int]]:
     """Real and imaginary parts of a primitive Gaussian-integer multiple of p."""
-    d = lcm(*(q.denominator for c in p.coeffs for q in (c.re, c.im)))
-    re = [c.re.numerator * (d // c.re.denominator) for c in p.coeffs]
-    im = [c.im.numerator * (d // c.im.denominator) for c in p.coeffs]
+    d = lcm(*(e for _, _, e in p.coeffs))
+    re = [a * (d // e) for a, _, e in p.coeffs]
+    im = [b * (d // e) for _, b, e in p.coeffs]
     g = gcd(*re, *im)
     return [a // g for a in re], [b // g for b in im]
 

@@ -1,72 +1,151 @@
-"""Exact complex scalars a + b*i with rational a, b.
+"""Exact complex scalars: the Gaussian rationals Q(i).
 
 Every computation in the library happens over this field; there is no
-floating-point mode.  Values are immutable and canonical (``Fraction``
-keeps fractions reduced with a positive denominator), so ``==`` is a
-structural and mathematical equality at the same time.
+floating-point mode.  A scalar is one integer triple (a, b, d) standing
+for (a + b*i)/d, kept in canonical form: d > 0 and gcd(a, b, d) = 1, so
+zero is (0, 0, 1).  Each field operation does its integer arithmetic and
+then one gcd reduction (Henrici, J. ACM 3(1), 1956; Knuth, TAOCP vol. 2,
+4.5.1); ``**`` squares and multiplies the Gaussian-integer numerator and
+reduces once at the end.  Because the form is canonical, ``==`` and
+``hash`` of the triple are structural and mathematical equality at the
+same time.  The real and imaginary parts ``.re`` and ``.im`` are derived
+``Fraction`` values.
 """
 
 from __future__ import annotations
 
-import math
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, ParseError
 
 RationalLike = int | Fraction
 
+_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class GaussianRational:
-    """An element of the field Q(i)."""
 
-    re: Fraction
-    im: Fraction
+def _reduced(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d in canonical form; d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _new(GaussianRational, (a, b, d))
+
+
+class GaussianRational(tuple):
+    """An element of the field Q(i), the canonical triple (a + b*i)/d.
+
+    The class is an immutable tuple, so construction, ``==`` and ``hash``
+    run in C and ``a, b, d = x`` reads the triple; it is not meant to be
+    used as a sequence.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0) -> "GaussianRational":
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        # re and im are in lowest terms, so gcd(a, b, d) is already 1.
+        return _new(cls, (
+            re.numerator * (d // re.denominator),
+            im.numerator * (d // im.denominator),
+            d,
+        ))
+
+    def __getnewargs__(self) -> tuple[Fraction, Fraction]:
+        return self.re, self.im
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self[0], self[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self[1], self[2])
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, d = self
+        c, e, f = other
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a, b, d = self
+        c, e, f = other
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self
+        return _new(GaussianRational, (-a, -b, d))
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self
+        c, e, f = other
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
+
+    def __rmul__(self, other):
+        # Without this, int * scalar would fall through to tuple repetition.
+        raise TypeError(f"unsupported operand type for *: {type(other).__name__!r} and scalar")
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        if other.is_zero():
+        c, e, f = other
+        n = c * c + e * e
+        if not n:
             raise DivisionByZero("division by zero scalar")
-        d = other.abs2()
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        a, b, d = self
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * n)
+
+    def __pow__(self, n: int) -> "GaussianRational":
+        """self**n for any integer n; a negative exponent inverts first.
+
+        Squares and multiplies the numerator a + b*i, raises d to the n,
+        and reduces once at the end.
+        """
+        if n < 0:
+            return self.inv() ** -n
+        a, b, d = self
+        if not b:
+            # gcd(a, d) = 1, so gcd(a**n, d**n) = 1 as well.
+            return _new(GaussianRational, (a**n, 0, d**n))
+        dn = d**n
+        ra, rb = 1, 0
+        while n:
+            if n & 1:
+                ra, rb = ra * a - rb * b, ra * b + rb * a
+            n >>= 1
+            if n:
+                a, b = a * a - b * b, 2 * a * b
+        return _reduced(ra, rb, dn)
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self
+        return _new(GaussianRational, (a, -b, d))
 
     def abs2(self) -> Fraction:
         """|a|^2 = re^2 + im^2, a nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self
+        return Fraction(a * a + b * b, d * d)
 
     def inv(self) -> "GaussianRational":
-        return ONE / self
+        a, b, d = self
+        n = a * a + b * b
+        if not n:
+            raise DivisionByZero("division by zero scalar")
+        return _reduced(a * d, -b * d, n)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self[0] or self[1])
 
     def is_rational_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
+        return self[1] == 0 and self[2] == 1
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        a, b, d = self
+        return complex(a / d, b / d)
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -77,7 +156,9 @@ class GaussianRational:
 
 def gr(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
     """Build a GaussianRational from integers or Fractions."""
-    return GaussianRational(Fraction(re), Fraction(im))
+    if type(re) is int and type(im) is int:
+        return _new(GaussianRational, (re, im, 1))
+    return GaussianRational(re, im)
 
 
 ZERO = gr(0)
@@ -134,8 +215,8 @@ def _frac_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None."""
     if q < 0:
         return None
-    ns = math.isqrt(q.numerator)
-    ds = math.isqrt(q.denominator)
+    ns = isqrt(q.numerator)
+    ds = isqrt(q.denominator)
     if ns * ns == q.numerator and ds * ds == q.denominator:
         return Fraction(ns, ds)
     return None

@@ -12,16 +12,11 @@ is mathematical equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .errors import ExactError
 from .poly import Polynomial, binom_poly, poly
 from .scalars import GaussianRational, ONE, ZERO, gr
-
-
-def _tail_key(r: GaussianRational) -> tuple:
-    return (r.re, r.im)
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,7 +30,7 @@ class RationalSequence:
         v = self.head[n] if n < len(self.head) else ZERO
         x = gr(n)
         for r, p in self.tails:
-            v = v + p.eval(x) * _pow(r, n)
+            v = v + p.eval(x) * r**n
         return v
 
     def is_zero(self) -> bool:
@@ -48,14 +43,7 @@ class RationalSequence:
             + (other.head[k] if k < len(other.head) else ZERO)
             for k in range(n)
         ]
-        tails = {}
-        for r, p in self.tails + other.tails:
-            key = _tail_key(r)
-            if key in tails:
-                tails[key] = (r, tails[key][1] + p)
-            else:
-                tails[key] = (r, p)
-        return make_sequence(head, list(tails.values()))
+        return make_sequence(head, self.tails + other.tails)
 
     def __sub__(self, other: "RationalSequence") -> "RationalSequence":
         return self + other.scale(gr(-1))
@@ -77,7 +65,7 @@ class RationalSequence:
         tails = []
         for r, p in self.tails:
             # poly(n+s) r^(n+s) = [r^s poly(n+s)] r^n
-            tails.append((r, p.taylor_shift(gr(s)).scale(_pow(r, s))))
+            tails.append((r, p.taylor_shift(gr(s)).scale(r**s)))
         return make_sequence(head, tails)
 
     def shift_up(self, s: int) -> "RationalSequence":
@@ -85,10 +73,10 @@ class RationalSequence:
         tails = []
         corrections = [ZERO] * s
         for r, p in self.tails:
-            p_shift = p.taylor_shift(gr(-s)).scale(_pow(r, -s))
+            p_shift = p.taylor_shift(gr(-s)).scale(r ** -s)
             tails.append((r, p_shift))
             for n in range(s):
-                corrections[n] = corrections[n] - p_shift.eval(gr(n)) * _pow(r, n)
+                corrections[n] = corrections[n] - p_shift.eval(gr(n)) * r**n
         head = corrections + list(self.head)
         return make_sequence(head, tails)
 
@@ -99,18 +87,9 @@ class RationalSequence:
         return " + ".join(parts) if parts else "0"
 
 
-def _pow(r: GaussianRational, n: int) -> GaussianRational:
-    if n >= 0:
-        out = ONE
-        for _ in range(n):
-            out = out * r
-        return out
-    return ONE / _pow(r, -n)
-
-
 def make_sequence(head, tails) -> RationalSequence:
     """Canonicalizing constructor; merges/validates tails, trims head."""
-    merged: dict[tuple, tuple[GaussianRational, Polynomial]] = {}
+    merged: dict[GaussianRational, Polynomial] = {}
     for r, p in tails:
         if p.is_zero():
             continue
@@ -118,15 +97,11 @@ def make_sequence(head, tails) -> RationalSequence:
             raise ExactError("tail ratio must be nonzero (fold into head)")
         if r.abs2() >= 1:
             raise ExactError(f"tail ratio {r} is not inside the unit circle")
-        key = _tail_key(r)
-        if key in merged:
-            merged[key] = (r, merged[key][1] + p)
-        else:
-            merged[key] = (r, p)
+        merged[r] = merged[r] + p if r in merged else p
     clean = tuple(
         sorted(
-            ((r, p) for r, p in merged.values() if not p.is_zero()),
-            key=lambda t: _tail_key(t[0]),
+            ((r, p) for r, p in merged.items() if not p.is_zero()),
+            key=lambda t: (t[0].re, t[0].im),
         )
     )
     hs = list(head)
@@ -158,7 +133,7 @@ def seq_tail(ratio: GaussianRational, p: Polynomial, start: int = 0) -> Rational
     """x_n = p(n) * ratio^n for n >= start, zero before (public form)."""
     if p.is_zero():
         return SEQ_ZERO
-    head = [-(p.eval(gr(n)) * _pow(ratio, n)) for n in range(start)]
+    head = [-(p.eval(gr(n)) * ratio**n) for n in range(start)]
     return make_sequence(head, [(ratio, p)])
 
 
@@ -184,7 +159,7 @@ def power_series_sum(p: Polynomial, r: GaussianRational) -> GaussianRational:
     for j in range(d + 1):
         dj = values[0]
         # finite differences in place
-        total = total + dj * _pow(r, j) / _pow(one_minus, j + 1)
+        total = total + dj * r**j / one_minus ** (j + 1)
         values = [values[k + 1] - values[k] for k in range(len(values) - 1)]
         if not values:
             break
@@ -249,7 +224,7 @@ def pairing(v: RationalSequence, x: RationalSequence) -> GaussianRational:
             continue
         acc = ZERO
         for r, p in v.tails:
-            acc = acc + p.eval(gr(n)) * _pow(r, n)
+            acc = acc + p.eval(gr(n)) * r**n
         total = total + acc * hx
     # tail x tail
     for rv, pv in v.tails:

@@ -15,7 +15,6 @@ symbols exactly computable; winding numbers never need it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     FactorOnCircle,
@@ -108,30 +107,24 @@ def _classify_roots(roots) -> tuple[Roots, Roots]:
     return _sort_roots(inner), _sort_roots(outer)
 
 
-def _merge_roots(*groups) -> list[tuple[GaussianRational, int]]:
-    acc: dict[tuple, tuple[GaussianRational, int]] = {}
-    for roots in groups:
-        for r, m in roots:
-            key = (r.re, r.im)
-            if key in acc:
-                acc[key] = (r, acc[key][1] + m)
-            else:
-                acc[key] = (r, m)
-    return [(r, m) for r, m in acc.values() if m != 0]
+def _merge_roots(roots) -> dict[GaussianRational, int]:
+    acc: dict[GaussianRational, int] = {}
+    for r, m in roots:
+        acc[r] = acc.get(r, 0) + m
+    return acc
 
 
 def _cancel_common(zeros, poles):
-    zacc = {( r.re, r.im): [r, m] for r, m in _merge_roots(zeros)}
+    zacc = _merge_roots(zeros)
     out_poles = []
-    for r, m in _merge_roots(poles):
-        key = (r.re, r.im)
-        if key in zacc:
-            common = min(m, zacc[key][1])
-            zacc[key][1] -= common
+    for r, m in _merge_roots(poles).items():
+        common = min(m, zacc.get(r, 0))
+        if common:
+            zacc[r] -= common
             m -= common
         if m:
             out_poles.append((r, m))
-    out_zeros = [(r, m) for r, m in zacc.values() if m]
+    out_zeros = [(r, m) for r, m in zacc.items() if m]
     return out_zeros, out_poles
 
 
@@ -231,6 +224,15 @@ def _try_split(num: Polynomial, den: Polynomial) -> CircleSplit | None:
     return CircleSplit(scale_n, iz, oz, ip, op)
 
 
+def _times(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q, without forming the product when a factor is the constant 1."""
+    if p == P_ONE:
+        return q
+    if q == P_ONE:
+        return p
+    return p * q
+
+
 def sym_arith(f: RationalSymbol, g: RationalSymbol, op: str) -> RationalSymbol:
     if op == "mul":
         if f.is_zero() or g.is_zero():
@@ -242,7 +244,7 @@ def sym_arith(f: RationalSymbol, g: RationalSymbol, op: str) -> RationalSymbol:
                 list(f.split.zeros) + list(g.split.zeros),
                 list(f.split.poles) + list(g.split.poles),
             )
-        return make_symbol(f.num * g.num, f.den * g.den, f.shift + g.shift)
+        return make_symbol(_times(f.num, g.num), _times(f.den, g.den), f.shift + g.shift)
     if op not in ("add", "sub"):
         raise ValueError(f"unknown op {op!r}")
     if g.is_zero():
@@ -250,10 +252,10 @@ def sym_arith(f: RationalSymbol, g: RationalSymbol, op: str) -> RationalSymbol:
     if f.is_zero():
         return g if op == "add" else sym_scale(g, gr(-1))
     m = min(f.shift, g.shift)
-    left = (f.num * g.den).shift_degree(f.shift - m)
-    right = (g.num * f.den).shift_degree(g.shift - m)
+    left = _times(f.num, g.den).shift_degree(f.shift - m)
+    right = _times(g.num, f.den).shift_degree(g.shift - m)
     combined = left + right if op == "add" else left - right
-    return make_symbol(combined, f.den * g.den, m)
+    return make_symbol(combined, _times(f.den, g.den), m)
 
 
 def sym_scale(f: RationalSymbol, c: GaussianRational) -> RationalSymbol:
@@ -367,26 +369,19 @@ def _expansion_no_shift(f: RationalSymbol) -> LaurentExpansion:
             acc = P_ZERO
             for k, c in residues:
                 sign = gr(-1) if k % 2 else gr(1)
-                coef = c * sign * _ipow(p, -k)
+                coef = c * sign * p**-k
                 acc = acc + rising_binom_poly(k - 1).scale(coef)
             pos_tails.append((p.inv(), acc))
         else:
             # 1/(z-p)^k = sum_{u>=k-1} C(u, k-1) p^(u-k+1) z^(-1-u)
             acc = P_ZERO
             for k, c in residues:
-                coef = c * _ipow(p, 1 - k)
+                coef = c * p ** (1 - k)
                 acc = acc + binom_poly(k - 1).scale(coef)
             neg_tails.append((p, acc))
     pos = make_sequence(head, pos_tails)
     neg = make_sequence([], neg_tails)
     return LaurentExpansion(pos, neg)
-
-
-def _ipow(a: GaussianRational, k: int) -> GaussianRational:
-    out = ONE
-    for _ in range(abs(k)):
-        out = out * a
-    return out if k >= 0 else out.inv()
 
 
 def _residues_at(rem: Polynomial, poles: Roots, p: GaussianRational, m: int):

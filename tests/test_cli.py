@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -70,6 +71,54 @@ def test_chain_at_the_height_bound(capsys):
     code, out, _ = run(capsys, "index", " + ".join(["T(z)"] * (MAX_HEIGHT - 1)))
     assert code == 0
     assert out.split()[0] == "-1"
+
+
+def _fin(n):
+    return "fin[" + ", ".join(["1"] * n) + "]"
+
+
+# (budget, an input at the bound, the same input just past it)
+BUDGETS = [
+    ("MAX_LITERAL_DIGITS",
+     ["index", "T(z - 1" + "0" * 999 + ")"], ["index", "T(z - 1" + "0" * 1000 + ")"]),
+    ("MAX_EXPONENT", ["index", "T((1/2)^400 * z)"], ["index", "T((1/2)^401 * z)"]),
+    ("MAX_SYMBOL_DEGREE", ["index", "T(z^200 * z^200)"], ["index", "T(z^200 * z^201)"]),
+    ("MAX_SYMBOL_DEGREE", ["index", "T(z^-200) * T(z^-200)"], ["index", "T(z^-200) * T(z^-201)"]),
+    ("MAX_SPLIT_DEGREE", ["index", "T((z - 1/2)^32)"], ["index", "T((z - 1/2)^33)"]),
+    ("MAX_SPLIT_DEGREE",
+     ["index", "T((z - 1/2)^16) * T(1/(z - 3)^16)"], ["index", "T((z - 1/2)^16) * T(1/(z - 3)^17)"]),
+    ("MAX_SEQ_INDEX", ["index", "T(z) + FR{e500 | e0}"], ["index", "T(z) + FR{e501 | e0}"]),
+    ("MAX_SEQ_INDEX",
+     ["index", "T(z) + FR{e0 | " + _fin(501) + "}"], ["index", "T(z) + FR{e0 | " + _fin(502) + "}"]),
+    ("MAX_GEO_DEGREE",
+     ["index", "T(z) + FR{geo(1/2; 64) | e0}"], ["index", "T(z) + FR{geo(1/2; 65) | e0}"]),
+    ("MAX_WINDOW",
+     ["entries", "T(z)", "--rows", "200", "--cols", "1"],
+     ["entries", "T(z)", "--rows", "1", "--cols", "201"]),
+]
+
+
+@pytest.mark.parametrize(
+    "budget, at_bound, past_bound", BUDGETS, ids=[f"{b[0]}-{i}" for i, b in enumerate(BUDGETS)]
+)
+def test_input_budget(capsys, budget, at_bound, past_bound):
+    code, out, err = run(capsys, *at_bound)
+    assert code == 0, err
+    code, out, err = run(capsys, *past_bound)
+    assert code == 2 and out == ""
+    assert "input budget" in err and budget in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["T(z^100000)", "T((z-1/2)^2000)", "T(z) + FR{e100000000 | e0}",
+     "T(z) + FR{geo(1/2; 5000) | e0}", "T(z^2000 - 1/2)", "T((z-1/2)^100)"],
+)
+def test_unbounded_inputs_are_refused_at_once(capsys, text):
+    start = time.monotonic()
+    code, _, err = run(capsys, "index", text)
+    assert code == 2 and "input budget" in err
+    assert time.monotonic() - start < 2.0
 
 
 def test_usage_error_exit_1(capsys):

@@ -23,6 +23,7 @@ from .engine import (
     punctured_scan,
 )
 from .errors import (
+    BadScanGrid,
     BudgetExceeded,
     ExactError,
     IndexOutOfRange,
@@ -48,6 +49,7 @@ EXIT_INTERNAL = 3
 MAX_WINDOW = 200
 
 _PRECONDITION = (
+    BadScanGrid,
     NotBFredholm,
     MissingSplit,
     SignatureMismatch,
@@ -64,6 +66,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+
+
+def _radii(text: str) -> list[Fraction]:
+    try:
+        return [Fraction(r.strip()) for r in text.split(",") if r.strip()]
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"malformed radius list {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="punctured-neighborhood scan")
     sp.add_argument("expr")
-    sp.add_argument("--radii", default="1/8,1/16,1/32", help="comma-separated rationals")
+    sp.add_argument("--radii", type=_radii, default="1/8,1/16,1/32", help="comma-separated rationals")
     sp.add_argument("--directions", type=int, default=8)
     common(sp)
 
@@ -183,13 +192,12 @@ def cmd_entries(args) -> tuple[int, str]:
 
 
 def cmd_scan(args) -> tuple[int, str]:
-    radii = [Fraction(r.strip()) for r in args.radii.split(",") if r.strip()]
     op = evaluate(parse(args.expr))
-    if not radii:
+    if not args.radii:
         if args.format == "json":
             return EXIT_OK, json.dumps({"samples": []})
         return EXIT_OK, "lambda,classification,index"
-    rep = punctured_scan(op, radii, args.directions)
+    rep = punctured_scan(op, args.radii, args.directions)
     if args.format == "json":
         return EXIT_OK, json.dumps(
             {

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BadScanGrid,
     MissingSplit,
     NonIntegerTrace,
     NotBezout,
@@ -359,13 +360,17 @@ def punctured_scan(
     a: BlockOperator, radii: list[Fraction], directions: int = 8
 ) -> ScanReport:
     """Classify a - lambda*e on a punctured grid around 0 (Thm 3.1 shape)."""
+    radii = sorted(set(Fraction(x) for x in radii))
+    if radii and radii[0] <= 0:
+        raise BadScanGrid(f"scan radius {radii[0]} is not > 0")
+    if not 1 <= directions <= len(SCAN_DIRECTIONS):
+        raise BadScanGrid(f"scan directions {directions} is outside 1..{len(SCAN_DIRECTIONS)}")
     base_c, base = _class_and_index(a)
     if base_c == NOT_IN_CLASS:
         raise NotBFredholm("base operator is not in class")
     rows = []
-    dirs = SCAN_DIRECTIONS[:directions]
-    for r in sorted(set(Fraction(x) for x in radii)):
-        for d in dirs:
+    for r in radii:
+        for d in SCAN_DIRECTIONS[:directions]:
             lam = d * gr(r)
             c, idx = _class_and_index(scalar_shift(a, lam))
             rows.append(ScanRow(lam, r, c, idx))

@@ -53,6 +53,10 @@ class NotBFredholm(ExactError):
     pass
 
 
+class BadScanGrid(ExactError):
+    """A punctured scan needs radii > 0 and 1 <= directions <= len(SCAN_DIRECTIONS)."""
+
+
 class BudgetExceeded(ExactError):
     """An input is over one of the input budgets, named in the message."""
 

@@ -19,9 +19,6 @@ class FiniteRankOperator:
 
     terms: tuple[tuple[RationalSequence, RationalSequence], ...]
 
-    def rank_bound(self) -> int:
-        return len(self.terms)
-
     def apply(self, x: RationalSequence) -> RationalSequence:
         out = SEQ_ZERO
         for u, v in self.terms:

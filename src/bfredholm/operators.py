@@ -183,20 +183,15 @@ def hankel_cross(a: RationalSequence, b: RationalSequence) -> FiniteRankOperator
         alphas = _split_shifted(p, 1)
         for sigma, q in b.tails:
             betas = _split_shifted(q, 1)
-            ratio = rho * sigma
+            # w[s] = sum_k k^s (rho*sigma)^k, once per power s
+            w = [power_series_sum(_monomial(s), rho * sigma) for s in range(len(alphas) + len(betas) - 1)]
             for e, alpha in enumerate(alphas):
                 if alpha.is_zero():
                     continue
+                v = P_ZERO
                 for fdeg, beta in enumerate(betas):
-                    if beta.is_zero():
-                        continue
-                    w = power_series_sum(_monomial(e + fdeg), ratio)
-                    terms.append(
-                        (
-                            make_sequence([], [(rho, alpha)]),
-                            make_sequence([], [(sigma, beta.scale(w))]),
-                        )
-                    )
+                    v = v + beta.scale(w[e + fdeg])
+                terms.append((make_sequence([], [(rho, alpha)]), make_sequence([], [(sigma, v)])))
     return make_finite_rank(terms)
 
 

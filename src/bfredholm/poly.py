@@ -103,10 +103,6 @@ class Polynomial:
         inv = self.leading().inv()
         return self.scale(inv)
 
-    def reverse_conj(self) -> "Polynomial":
-        """Conjugate-reciprocal p*(z) = z^deg * conj(p(1/conj(z)))."""
-        return Polynomial(tuple(c.conj() for c in reversed(self.coeffs)))
-
     def taylor_shift(self, a: GaussianRational) -> "Polynomial":
         """Coefficients of p(a + u) as a polynomial in u.
 

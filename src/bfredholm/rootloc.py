@@ -5,17 +5,21 @@ clearing denominators and dividing out the integer content moves no root.
 Such a polynomial is a pair of ``int`` lists (real parts, imaginary parts),
 lowest degree first.
 
-Circle-zero detection maps the circle to the real line by the Cayley
-transform z = (1+it)/(1-it).  The image (1-it)^n p((1+it)/(1-it)) is built
-by Horner's rule in O(n^2) integer operations; p has a zero on the circle
-other than z = -1 (tested by direct evaluation) iff the real and imaginary
-parts of the image have a common real root.  Disk counting runs the
-Schur-Cohn recursion as a loop and divides each iterate by its content; a
-degenerate step (reflection coefficient of modulus exactly one) falls back
-to an exact argument-principle count from the Cauchy index of the same
-image.  Real root counts, gcds and Cauchy indices come from Sturm chains
-built as primitive pseudo-remainder sequences over Z (Collins 1967; Brown
-and Traub 1971), with positive multipliers so that every sign is kept.
+One Schur-Cohn loop answers both questions, whether p has a zero on the
+circle and how many zeros lie inside it.  Each step replaces p by
+q = conj(a0)*p - an*p*, with p* the conjugate reciprocal, and divides q by
+its content.  On |z| = 1, |p*| = |p|; so when |a0| != |an|, q vanishes at a
+point of the circle exactly when p does.  A run that reaches a nonzero
+constant therefore proves that p has no circle zeros, and a circle zero
+forces a degenerate step (|a0| = |an|) whose iterate has exactly the circle
+zeros of p.  Only that iterate goes to the fallback: z = -1 is tested by
+evaluation, the Cayley transform z = (1+it)/(1-it) maps the rest of the
+circle to the real line, and one Sturm chain of the real and imaginary
+parts of the image gives both their gcd (a common real root is a circle
+zero) and the Cauchy index of an exact argument-principle count.  Sturm
+chains are primitive pseudo-remainder sequences over Z (Collins 1967;
+Brown and Traub 1971), with positive multipliers so that every sign is
+kept.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from .errors import ZeroOnCircle, ZeroPolynomial
 from .poly import Polynomial
 
 
-def _integer_form(p: Polynomial) -> tuple[list[int], list[int]]:
-    """Real and imaginary parts of a primitive Gaussian-integer multiple of p."""
-    d = lcm(*(e for _, _, e in p.coeffs))
-    re = [a * (d // e) for a, _, e in p.coeffs]
-    im = [b * (d // e) for _, b, e in p.coeffs]
+def _integer_form(coeffs) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts of a primitive Gaussian-integer multiple."""
+    d = lcm(*(e for _, _, e in coeffs))
+    re = [a * (d // e) for a, _, e in coeffs]
+    im = [b * (d // e) for _, b, e in coeffs]
     g = gcd(*re, *im)
     return [a // g for a in re], [b // g for b in im]
 
@@ -85,106 +89,77 @@ def _sturm_chain(f0: list[int], f1: list[int]):
         a, b = b, r
 
 
-def _cauchy_index(den: list[int], num: list[int]) -> int:
-    """Cauchy index of num/den over the real line (den nonzero).
+def _cauchy_index(den: list[int], num: list[int]) -> tuple[int, list[int]]:
+    """Cauchy index of num/den over the real line, and gcd(den, num).
 
-    V(-inf) - V(+inf) over the Sturm chain of den and num; an element of
-    degree d has the sign of its leading coefficient at +inf, times (-1)^d
-    at -inf.
+    V(-inf) - V(+inf) over the Sturm chain of den (nonzero) and num; an
+    element of degree d has the sign of its leading coefficient at +inf,
+    times (-1)^d at -inf.
     """
-    v_neg = v_pos = 0
-    prev = None
+    index, prev = 0, None
     for f in _sturm_chain(den, num):
         pos = f[-1] > 0
         neg = pos == (len(f) % 2 == 1)
         if prev is not None:
-            v_neg += neg != prev[0]
-            v_pos += pos != prev[1]
+            index += (neg != prev[0]) - (pos != prev[1])
         prev = (neg, pos)
-    return v_neg - v_pos
+    return index, f
 
 
-def has_zero_on_circle(p: Polynomial) -> bool:
-    """True iff p has a zero of modulus exactly 1; decided exactly."""
-    if p.is_zero():
-        raise ZeroPolynomial("circle test on the zero polynomial")
-    if p.is_constant():
-        return False
-    re, im = _integer_form(p)
-    if not sum(re[::2]) - sum(re[1::2]) and not sum(im[::2]) - sum(im[1::2]):
-        return True  # p(-1) = 0
-    qr, qi = _cayley(re, im)
-    if qr and qi:
-        *_, g = _sturm_chain(qr, qi)
-    else:
-        g = qr or qi
-    # distinct real roots of g: the Cauchy index of g'/g
-    return len(g) > 1 and _cauchy_index(g, [k * c for k, c in enumerate(g)][1:]) > 0
+def _winding_count(re: list[int], im: list[int]) -> int | None:
+    """Zeros of p inside the unit disk by an exact argument principle, or
+    None if p has a zero on the circle.
 
-
-def _winding_count(re: list[int], im: list[int]) -> int:
-    """Zeros of p inside the unit disk via an exact argument principle.
-
-    Requires p(0) != 0 and no zeros on the circle.  The winding of p
-    around the circle is recovered from the Cauchy index of the Cayley
-    image q(t) = qr(t) + i*qi(t).
+    The winding of p around the circle is recovered from the Cauchy index
+    of qi/qr, where q(t) = qr(t) + i*qi(t) is the Cayley image; the same
+    chain ends in gcd(qr, qi), whose real roots are the circle zeros of p
+    other than z = -1.
     """
     n = len(re) - 1
-    if n == 0:
-        return 0
+    if not sum(re[::2]) - sum(re[1::2]) and not sum(im[::2]) - sum(im[1::2]):
+        return None  # p(-1) = 0
     qr, qi = _cayley(re, im)
-    if not qr:
-        # q is purely imaginary on the real line: no real-axis crossings,
-        # and the argument is constant +/- pi/2.
-        jump_index = boundary = 0
-    else:
-        jump_index = _cauchy_index(qr, qi)
-        # Boundary contribution of arctan(qi/qr) at t = +/- infinity, in
-        # units of pi: nonzero only when deg qi > deg qr.
-        boundary = 0
-        di, dr = len(qi) - 1, len(qr) - 1
-        if di > dr:
-            s_pos = 1 if (qi[-1] > 0) == (qr[-1] > 0) else -1
-            s_neg = s_pos * (1 if (di - dr) % 2 == 0 else -1)
-            boundary = (s_pos - s_neg) // 2
+    # if qr = 0, q is purely imaginary on the real line: no real-axis
+    # crossings, and the argument is constant +/- pi/2
+    jump_index, g = _cauchy_index(qr, qi) if qr else _cauchy_index(qi, [])
+    # distinct real roots of g: the Cauchy index of g'/g
+    if len(g) > 1 and _cauchy_index(g, [k * c for k, c in enumerate(g)][1:])[0] > 0:
+        return None
+    # Boundary contribution of arctan(qi/qr) at t = +/- infinity, in units
+    # of pi: nonzero only when deg qi > deg qr.
+    boundary = 0
+    di, dr = len(qi) - 1, len(qr) - 1
+    if qr and di > dr:
+        s_pos = 1 if (qi[-1] > 0) == (qr[-1] > 0) else -1
+        s_neg = s_pos * (1 if (di - dr) % 2 == 0 else -1)
+        boundary = (s_pos - s_neg) // 2
     total = boundary - jump_index + n  # Delta arg / pi plus n
     if total % 2 != 0:
         raise AssertionError("argument-principle count is not an integer")
     return total // 2
 
 
-def count_zeros_in_disk(p: Polynomial) -> int:
-    """Zeros of p with |z| < 1, counted with multiplicity; exact.
+def _locate(p: Polynomial) -> tuple[int, int | None]:
+    """(m, k): m is the order of the zero of p at z = 0, and k the number of
+    its other zeros inside the disk, or None if p has a zero on the circle.
 
-    Raises ZeroOnCircle if a unit-modulus zero exists, ZeroPolynomial on
-    the zero polynomial.
+    The Schur-Cohn loop: q(0) = |a0|^2 - |an|^2 = delta != 0, and by Rouche
+    q has the zeros of p inside the disk when delta > 0 and those of p*
+    (n minus those of p) when delta < 0.  The count so far is
+    ``count + sign * (zeros of q)``.
     """
     if p.is_zero():
-        raise ZeroPolynomial("disk count of the zero polynomial")
+        raise ZeroPolynomial("root location of the zero polynomial")
     m = p.order_at_zero()
-    if m:
-        p = Polynomial(p.coeffs[m:])
-    if has_zero_on_circle(p):
-        raise ZeroOnCircle(f"{p} has a zero on the unit circle")
-    return m + _schur_cohn(*_integer_form(p))
-
-
-def _schur_cohn(re: list[int], im: list[int]) -> int:
-    """Schur-Cohn recursion as a loop; p(0) != 0 and no circle zeros.
-
-    Each step replaces p by q = conj(a0)*p - an*p*, where p* is the
-    conjugate reciprocal.  q(0) = |a0|^2 - |an|^2 = delta != 0, q has the
-    circle zeros of p (none), and by Rouche q has the zeros of p inside
-    the disk when delta > 0 and those of p* (n minus those of p) when
-    delta < 0.  The count so far is ``count + sign * (zeros of q)``.
-    """
+    re, im = _integer_form(p.coeffs[m:])
     count, sign = 0, 1
     while len(re) > 1:
         n = len(re) - 1
         a, b, c, d = re[0], im[0], re[-1], im[-1]
         delta = a * a + b * b - c * c - d * d
         if delta == 0:
-            return count + sign * _winding_count(re, im)
+            k = _winding_count(re, im)
+            return m, None if k is None else count + sign * k
         rev = list(zip(re[::-1], im[::-1]))
         qr = [a * x + b * y - c * u - d * v for x, y, (u, v) in zip(re[:-1], im[:-1], rev)]
         qi = [a * y - b * x - d * u + c * v for x, y, (u, v) in zip(re[:-1], im[:-1], rev)]
@@ -195,4 +170,21 @@ def _schur_cohn(re: list[int], im: list[int]) -> int:
         re, im = [x // g for x in qr], [y // g for y in qi]
         if delta < 0:
             count, sign = count + sign * n, -sign
-    return count
+    return m, count
+
+
+def has_zero_on_circle(p: Polynomial) -> bool:
+    """True iff p has a zero of modulus exactly 1; decided exactly."""
+    return _locate(p)[1] is None
+
+
+def count_zeros_in_disk(p: Polynomial) -> int:
+    """Zeros of p with |z| < 1, counted with multiplicity; exact.
+
+    Raises ZeroOnCircle if a unit-modulus zero exists, ZeroPolynomial on
+    the zero polynomial.
+    """
+    m, k = _locate(p)
+    if k is None:
+        raise ZeroOnCircle(f"{p} has a zero on the unit circle")
+    return m + k

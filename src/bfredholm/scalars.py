@@ -164,7 +164,6 @@ def gr(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
 ZERO = gr(0)
 ONE = gr(1)
 I = gr(0, 1)
-MINUS_ONE = gr(-1)
 
 
 def _frac_str(q: Fraction) -> str:

@@ -75,9 +75,6 @@ class RationalSymbol:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def has_split(self) -> bool:
-        return self.split is not None
-
     def supports_coefficients(self) -> bool:
         """True when exact Fourier coefficients are available."""
         return self.is_zero() or self.den.is_constant() or self.split is not None

@@ -174,6 +174,24 @@ def test_scan_empty_radii(capsys):
     assert out.strip() == "lambda,classification,index"
 
 
+@pytest.mark.parametrize("radii", ["abc", "1/0"])
+def test_scan_malformed_radius_exit_1(capsys, radii):
+    code, out, err = run(capsys, "scan", "T(z - 1/2)", "--radii", radii)
+    assert code == 1
+    assert out == "" and "malformed radius" in err and radii in err
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("--directions=-3", "-3"),
+    ("--directions=100", "100"),
+    ("--radii=0", "0"),
+])
+def test_scan_out_of_range_exit_2(capsys, arg, value):
+    code, out, err = run(capsys, "scan", "T(z - 1/2)", arg)
+    assert code == 2
+    assert out == "" and f" {value} " in err
+
+
 def test_scan_json_stable_radius(capsys):
     code, out, _ = run(
         capsys, "scan", "T((z - 1/2)^2 / (z - 3))",

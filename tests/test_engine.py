@@ -21,7 +21,7 @@ from bfredholm.engine import (
     verify_power_law,
     verify_well_defined,
 )
-from bfredholm.errors import NotBezout, NotBFredholm, NotCommuting
+from bfredholm.errors import BadScanGrid, NotBezout, NotBFredholm, NotCommuting
 from bfredholm.matrices import jordan_nilpotent, matrix
 from bfredholm.numeric import winding_oracle
 from bfredholm.operators import (
@@ -214,6 +214,18 @@ def test_punctured_scan_rejects_not_in_class():
             toeplitz_operator(make_symbol(poly([-1, 1]), poly([1]))),
             [Fraction(1, 8)],
         )
+
+
+@pytest.mark.parametrize("radii, directions", [
+    ([Fraction(1, 8), Fraction(0)], 8),
+    ([Fraction(-1, 8)], 8),
+    ([Fraction(1, 8)], 0),
+    ([Fraction(1, 8)], -3),
+    ([Fraction(1, 8)], len(SCAN_DIRECTIONS) + 1),
+])
+def test_punctured_scan_rejects_bad_grid(radii, directions):
+    with pytest.raises(BadScanGrid):
+        punctured_scan(toeplitz_operator(F1), radii, directions)
 
 
 def test_log_law():

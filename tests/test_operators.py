@@ -112,6 +112,24 @@ def test_hankel_defect_float_check():
             assert abs(approx - fr_entry(H, i, j).to_complex()) < 1e-12
 
 
+def test_hankel_defect_triple_poles_one_term_per_alpha():
+    from bfredholm.symbols import fourier_coeff, sym_pow
+
+    # a triple pole outside and one inside: both tails have degree-2
+    # polynomials, so three shifted pieces on each side
+    f = sym_pow(invert_symbol(make_symbol(poly([-3, 1]), poly([1]))), 3)
+    g = sym_pow(invert_symbol(F1), 3)
+    H = hankel_defect(f, g)
+    assert len(H.terms) == 3
+    for i in range(3):
+        for j in range(3):
+            approx = sum(
+                fourier_coeff(f, i + k).to_complex() * fourier_coeff(g, -k - j).to_complex()
+                for k in range(1, 120)
+            )
+            assert abs(approx - fr_entry(H, i, j).to_complex()) < 1e-12
+
+
 def test_block_operator_algebra():
     J = matrix_operator(jordan_nilpotent(3))
     A = direct_sum(toeplitz_operator(F1), J)

@@ -3,17 +3,22 @@
 Planted polynomials are built with ``from_roots`` from Gaussian-rational
 roots, so whether a root lies inside, on or outside the unit circle is
 known exactly.  Dense Gaussian-integer polynomials are checked against
-numpy's root moduli, away from the circle by a fixed margin.
+numpy's root moduli, away from the circle by a fixed margin.  A standalone
+circle test over the rationals (the Cayley image, the gcd of its real and
+imaginary parts, and the Cauchy index of g'/g), with an argument-principle
+count on the same image, is kept here as a reference for the Schur-Cohn
+loop on a few thousand small seeded polynomials.
 """
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from bfredholm import rootloc
 from bfredholm.errors import ZeroOnCircle
-from bfredholm.poly import from_roots, poly
+from bfredholm.poly import P_ONE, from_roots, poly
 from bfredholm.rootloc import count_zeros_in_disk, has_zero_on_circle
 from bfredholm.scalars import gr
 
@@ -96,3 +101,127 @@ def test_dense_against_numpy(degree, seed):
         pytest.skip("a numpy root lies within 1e-6 of the circle")
     assert not has_zero_on_circle(p)
     assert count_zeros_in_disk(p) == int(np.sum(moduli < 1))
+
+
+@cache
+def _cayley_basis(n):
+    """(1+it)^k (1-it)^(n-k) for k = 0..n."""
+    plus, minus = poly([1, gr(0, 1)]), poly([1, gr(0, -1)])
+    out = []
+    for k in range(n + 1):
+        b = P_ONE
+        for f in [plus] * k + [minus] * (n - k):
+            b = b * f
+        out.append(b)
+    return out
+
+
+def _trimmed(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _index_and_gcd(den, num):
+    """V(-inf) - V(+inf) over the Euclidean Sturm chain den, num, -rem, ...,
+    which is the Cauchy index of num/den; and the last element, a gcd."""
+    chain, a, b = [den], den, num
+    while b:
+        chain.append(b)
+        r = list(a)
+        while len(r) >= len(b):
+            c, k = r[-1] / b[-1], len(r) - len(b)
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+            _trimmed(r)
+        a, b = b, [-x for x in r]
+
+    def variations(signs):
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    at_pos = [f[-1] > 0 for f in chain]
+    at_neg = [(f[-1] > 0) == (len(f) % 2 == 1) for f in chain]
+    return variations(at_neg) - variations(at_pos), chain[-1]
+
+
+def _reference(p):
+    """(circle flag, zeros inside or None) from the Cayley image alone."""
+    n = p.degree
+    if p.eval(gr(-1)).is_zero():
+        return True, None
+    q = poly([0])
+    for c, b in zip(p.coeffs, _cayley_basis(n)):
+        q = q + b.scale(c)
+    qr = _trimmed([c.re for c in q.coeffs])
+    qi = _trimmed([c.im for c in q.coeffs])
+    jump, g = _index_and_gcd(qr, qi) if qr else (0, qi)
+    if len(g) > 1 and _index_and_gcd(g, [k * c for k, c in enumerate(g)][1:])[0] > 0:
+        return True, None
+    # arg q(t) from t = -inf to +inf, in units of pi; only the ends of
+    # arctan(qi/qr) count when deg qi > deg qr
+    ends = 0
+    if qr and len(qi) > len(qr):
+        same = (qi[-1] > 0) == (qr[-1] > 0)
+        ends = (1 if same else -1) * (1 if (len(qi) - len(qr)) % 2 else 0)
+    return False, (ends - jump + n) // 2
+
+
+def _small_case(rng):
+    """A seeded polynomial of degree <= 12: planted roots (circle zeros,
+    repeated roots, reciprocal pairs, zeros at 0) or dense coefficients,
+    some real, some made self-inversive so that Schur-Cohn degenerates."""
+    if rng.random() < 0.25:
+        n = rng.randint(1, 12)
+        real = rng.random() < 0.4  # odd real iterates make deg qi > deg qr
+        cs = [gr(rng.randint(-5, 5), 0 if real else rng.randint(-5, 5)) for _ in range(n + 1)]
+        if rng.random() < 0.4:
+            sign = gr(rng.choice((1, -1)))
+            cs = [c + cs[n - k].conj() * sign for k, c in enumerate(cs)]
+        cs[-1] = cs[-1] if not cs[-1].is_zero() else gr(1)
+        return poly(cs), None
+    n = rng.randint(1, 12)
+    roots = []
+    while len(roots) < n:
+        u = rng.random()
+        r = (rng.choice(CIRCLE) if u < 0.15 else rng.choice(roots) if u < 0.3 and roots
+             else gr(0) if u < 0.4 else _off_circle(rng))
+        roots.append(r)
+        if len(roots) < n and not r.is_zero() and r.abs2() != 1 and rng.random() < 0.3:
+            roots.append(gr(1) / r.conj())
+    inside = None if any(r.abs2() == 1 for r in roots) else sum(1 for r in roots if r.abs2() < 1)
+    return _from_roots(rng, roots), inside
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_against_standalone_circle_test(seed):
+    rng = random.Random(f"reference:{seed}")
+    for _ in range(750):
+        p, planted = _small_case(rng)
+        on_circle, inside = _reference(p)
+        if planted is not None:
+            assert (on_circle, inside) == (False, planted), p
+        assert has_zero_on_circle(p) == on_circle, p
+        if on_circle:
+            with pytest.raises(ZeroOnCircle):
+                count_zeros_in_disk(p)
+        else:
+            assert count_zeros_in_disk(p) == inside, p
+
+
+def test_cayley_image_only_at_a_degenerate_step(monkeypatch):
+    def refuse(re, im):
+        raise AssertionError("Cayley image built")
+
+    monkeypatch.setattr(rootloc, "_cayley", refuse)
+    rng = random.Random(3)
+    dense = poly([gr(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(81)])
+    trinomial = poly([gr(Fraction(1, 6))] + [0] * 199 + [gr(Fraction(-5, 6))] + [0] * 199 + [1])
+    rng = random.Random("distinct:40:3")
+    roots = _planted(rng, 40, "distinct")
+    planted = _from_roots(rng, roots)
+    for p, inside in ((dense, 40), (trinomial, 400), (planted, sum(1 for r in roots if r.abs2() < 1))):
+        assert not has_zero_on_circle(p)
+        assert count_zeros_in_disk(p) == inside
+    # |a0| = |an| at once: the fallback, and so the Cayley image, is reached
+    with pytest.raises(AssertionError, match="Cayley image built"):
+        has_zero_on_circle(poly([-1, 1]))

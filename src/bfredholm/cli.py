@@ -146,10 +146,6 @@ def _emit_report(rep: IndexReport, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _fmt_lambda(lam) -> str:
-    return format_scalar(lam)
-
-
 def cmd_analyze(args) -> tuple[int, str]:
     rep = analyze(evaluate(parse(args.expr)))
     text = _emit_report(rep, args.format)
@@ -192,12 +188,7 @@ def cmd_entries(args) -> tuple[int, str]:
 
 
 def cmd_scan(args) -> tuple[int, str]:
-    op = evaluate(parse(args.expr))
-    if not args.radii:
-        if args.format == "json":
-            return EXIT_OK, json.dumps({"samples": []})
-        return EXIT_OK, "lambda,classification,index"
-    rep = punctured_scan(op, args.radii, args.directions)
+    rep = punctured_scan(evaluate(parse(args.expr)), args.radii, args.directions)
     if args.format == "json":
         return EXIT_OK, json.dumps(
             {
@@ -206,7 +197,7 @@ def cmd_scan(args) -> tuple[int, str]:
                 "stable_radius": str(rep.stable_radius) if rep.stable_radius is not None else None,
                 "samples": [
                     {
-                        "lambda": _fmt_lambda(r.lam),
+                        "lambda": format_scalar(r.lam),
                         "classification": r.classification,
                         "index": r.index,
                     }
@@ -218,7 +209,7 @@ def cmd_scan(args) -> tuple[int, str]:
     lines = ["lambda,classification,index"]
     for r in rep.rows:
         idx = "" if r.index is None else str(r.index)
-        lines.append(f"{_fmt_lambda(r.lam)},{r.classification},{idx}")
+        lines.append(f"{format_scalar(r.lam)},{r.classification},{idx}")
     return EXIT_OK, "\n".join(lines)
 
 
@@ -255,7 +246,7 @@ def cmd_demo(args) -> tuple[int, str]:
             {
                 "samples": [
                     {
-                        "lambda": _fmt_lambda(r["lambda"]),
+                        "lambda": format_scalar(r["lambda"]),
                         "classification": r["classification"],
                         "index": r["index"],
                     }
@@ -272,7 +263,7 @@ def cmd_demo(args) -> tuple[int, str]:
     ]
     for r in rows:
         idx = "" if r["index"] is None else str(r["index"])
-        lines.append(f"{_fmt_lambda(r['lambda'])},{r['classification']},{idx}")
+        lines.append(f"{format_scalar(r['lambda'])},{r['classification']},{idx}")
     lines.append("")
     lines.append("B-Fredholmness is not stable under small non-ideal perturbations.")
     return EXIT_OK, "\n".join(lines)

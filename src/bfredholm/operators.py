@@ -15,32 +15,69 @@ from math import comb
 from .errors import IndexOutOfRange, MissingSplit, SignatureMismatch
 from .finiterank import FR_ZERO, FiniteRankOperator, fr_is_zero, make_finite_rank
 from .matrices import ExactMatrix, identity as mat_identity
-from .poly import P_ZERO, Polynomial, poly
+from .poly import P_ZERO, Polynomial, from_roots, poly
 from .scalars import GaussianRational, ONE, ZERO, gr
 from .sequences import (
     RationalSequence,
     SEQ_ZERO,
     make_sequence,
-    partial_geom_sum,
     power_series_sum,
     seq_finite,
-    seq_tail,
 )
 from .symbols import (
-    LaurentExpansion,
     RationalSymbol,
     ZERO_SYMBOL,
+    expand_rational,
     laurent_expansion,
     make_factored,
-    swap_expansion,
     sym_arith,
     sym_equal,
     sym_scale,
+    symbol_poles,
 )
 
 
 # ---------------------------------------------------------------------------
 # Applying a Toeplitz operator to an exact sequence.
+# ---------------------------------------------------------------------------
+
+
+def toeplitz_apply(f: RationalSymbol, x: RationalSequence) -> RationalSequence:
+    """T(f)x = P+(f X), the nonnegative part of f times x's generating function."""
+    if f.is_zero() or x.is_zero():
+        return SEQ_ZERO
+    return _apply_rational(f.num, symbol_poles(f), f.shift, x)
+
+
+def toeplitz_apply_transpose(f: RationalSymbol, x: RationalSequence) -> RationalSequence:
+    """T(f)^T x = T(f(1/z)) x.
+
+    f(1/z) = z^(deg den - deg num - shift) rev(num) / rev(den), and
+    rev(den) = prod (1 - p z)^m = den(0) prod (z - 1/p)^m.
+    """
+    if f.is_zero() or x.is_zero():
+        return SEQ_ZERO
+    poles = [(p.inv(), m) for p, m in symbol_poles(f)]
+    num = Polynomial(f.num.coeffs[::-1]).scale(f.den.coeffs[0].inv())
+    return _apply_rational(num, poles, f.den.degree - f.num.degree - f.shift, x)
+
+
+def _apply_rational(num: Polynomial, poles, shift: int, x: RationalSequence) -> RationalSequence:
+    """P+ of z^shift num / prod (z-p)^m times X = N / D, X = sum_n x(n) z^n.
+
+    A tail q(n) r^n of x is a pole of X at 1/r of order deg q + 1, so
+    D = prod (z - 1/r)^(deg q + 1) and N = D X is a polynomial of degree
+    below deg D + len(head): the start of D times x's first values.
+    """
+    x_poles = [(r.inv(), q.degree + 1) for r, q in x.tails]
+    D = from_roots(ONE, x_poles)
+    n = D.degree + len(x.head)
+    N = Polynomial((D * Polynomial(tuple(x.value(k) for k in range(n)))).coeffs[:n])
+    return expand_rational(num * N, list(poles) + x_poles, shift).pos
+
+
+# ---------------------------------------------------------------------------
+# Hankel-product defect.
 # ---------------------------------------------------------------------------
 
 
@@ -62,103 +99,6 @@ def _split_shifted(p: Polynomial, sign: int) -> list[Polynomial]:
 
 def _monomial(e: int) -> Polynomial:
     return poly([0] * e + [1])
-
-
-def apply_expansion(E: LaurentExpansion, x: RationalSequence) -> RationalSequence:
-    """y(i) = sum_n fhat(i - n) x(n) for the coefficient stream E."""
-    y = SEQ_ZERO
-    for n, xn in enumerate(x.head):
-        if not xn.is_zero():
-            y = y + _column(E, n).scale(xn)
-    for r, p in x.tails:
-        y = y + _conv_tail(E, r, p)
-    return y
-
-
-def _column(E: LaurentExpansion, n: int) -> RationalSequence:
-    """Column n of the Toeplitz matrix: i -> fhat(i - n)."""
-    head = [E.neg.value(n - 1 - i) for i in range(n)]
-    return E.pos.shift_up(n) + seq_finite(head)
-
-
-def _conv_tail(E: LaurentExpansion, r: GaussianRational, P: Polynomial) -> RationalSequence:
-    """sum_n fhat(i - n) P(n) r^n, split along E's head/tail structure."""
-    out = SEQ_ZERO
-    hp = E.pos.head
-    hn = E.neg.head
-    # finite part of the nonnegative coefficients
-    if hp:
-        closed = P_ZERO
-        for m, c in enumerate(hp):
-            if not c.is_zero():
-                closed = closed + P.taylor_shift(gr(-m)).scale(c * r**-m)
-        tail = make_sequence([], [(r, closed)])
-        corrections = []
-        for i in range(len(hp) - 1):
-            actual = ZERO
-            for m in range(i + 1):
-                if m < len(hp) and not hp[m].is_zero():
-                    actual = actual + hp[m] * P.eval(gr(i - m)) * r ** (i - m)
-            corrections.append(actual - tail.value(i))
-        out = out + tail + seq_finite(corrections)
-    # geometric tails of the nonnegative coefficients
-    for rho, phi in E.pos.tails:
-        gammas = _split_shifted(P, -1)  # P(i - m) = sum_e gamma_e(i) m^e
-        c = rho / r
-        if c == ONE:
-            acc = P_ZERO
-            for e, gamma in enumerate(gammas):
-                if gamma.is_zero():
-                    continue
-                part = partial_geom_sum(phi * _monomial(e), ONE)
-                acc = acc + gamma * part
-            out = out + make_sequence([], [(r, acc)])
-        else:
-            acc_rho = P_ZERO
-            acc_r = P_ZERO
-            for e, gamma in enumerate(gammas):
-                if gamma.is_zero():
-                    continue
-                A, K = partial_geom_sum(phi * _monomial(e), c)
-                acc_rho = acc_rho + gamma * A
-                acc_r = acc_r + gamma.scale(K)
-            out = out + make_sequence([], [(rho, acc_rho), (r, acc_r)])
-    # finite part of the negative coefficients
-    if hn:
-        closed = P_ZERO
-        for u, c in enumerate(hn):
-            if not c.is_zero():
-                closed = closed + P.taylor_shift(gr(1 + u)).scale(c * r ** (1 + u))
-        out = out + make_sequence([], [(r, closed)])
-    # geometric tails of the negative coefficients
-    for sigma, psi in E.neg.tails:
-        deltas = _split_shifted(P.taylor_shift(gr(1)), 1)  # P(i+1+u) in powers of u
-        acc = P_ZERO
-        for e, delta in enumerate(deltas):
-            if delta.is_zero():
-                continue
-            w = power_series_sum(psi * _monomial(e), sigma * r)
-            acc = acc + delta.scale(w)
-        out = out + make_sequence([], [(r, acc.scale(r))])
-    return out
-
-
-def toeplitz_apply(f: RationalSymbol, x: RationalSequence) -> RationalSequence:
-    if f.is_zero() or x.is_zero():
-        return SEQ_ZERO
-    return apply_expansion(laurent_expansion(f), x)
-
-
-def toeplitz_apply_transpose(f: RationalSymbol, x: RationalSequence) -> RationalSequence:
-    """Row action: y(j) = sum_n x(n) fhat(n - j)."""
-    if f.is_zero() or x.is_zero():
-        return SEQ_ZERO
-    return apply_expansion(swap_expansion(laurent_expansion(f)), x)
-
-
-# ---------------------------------------------------------------------------
-# Hankel-product defect.
-# ---------------------------------------------------------------------------
 
 
 def hankel_cross(a: RationalSequence, b: RationalSequence) -> FiniteRankOperator:

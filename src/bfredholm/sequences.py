@@ -12,10 +12,9 @@ is mathematical equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import ExactError
-from .poly import Polynomial, binom_poly, poly
+from .poly import Polynomial, poly
 from .scalars import GaussianRational, ONE, ZERO, gr
 
 
@@ -164,51 +163,6 @@ def power_series_sum(p: Polynomial, r: GaussianRational) -> GaussianRational:
         if not values:
             break
     return total
-
-
-def partial_geom_sum(p: Polynomial, c: GaussianRational) -> tuple[Polynomial, GaussianRational] | Polynomial:
-    """Closed form of S(M) = sum_{m=0}^{M} p(m) c^m.
-
-    For c != 1 returns (A, K) with S(M) = A(M) c^M + K.
-    For c == 1 returns the polynomial B with S(M) = B(M).
-    """
-    if p.is_zero():
-        return (Polynomial(()), ZERO) if c != ONE else Polynomial(())
-    if c == ONE:
-        return _faulhaber_sum(p)
-    # Solve A(M) - (1/c) A(M-1) = p(M) degree by degree, highest first.
-    d = p.degree
-    cinv = ONE / c
-    a = [ZERO] * (d + 1)
-    p_coeffs = [p.coeff(k) for k in range(d + 1)]
-    for deg in range(d, -1, -1):
-        # coefficient of M^deg in A(M) - (1/c)A(M-1):
-        # a_deg (1 - 1/c) - (1/c) sum_{e>deg} a_e C(e,deg) (-1)^(e-deg)
-        rhs = p_coeffs[deg]
-        acc = ZERO
-        for e in range(deg + 1, d + 1):
-            sign = gr(-1) if (e - deg) % 2 else gr(1)
-            acc = acc + a[e] * gr(comb(e, deg)) * sign
-        a[deg] = (rhs + cinv * acc) / (ONE - cinv)
-    A = Polynomial(tuple(a))
-    K = p.eval(gr(0)) - A.eval(gr(0))
-    return A, K
-
-
-def _faulhaber_sum(p: Polynomial) -> Polynomial:
-    """B with B(M) = sum_{m=0}^M p(m), via the binomial basis."""
-    d = p.degree
-    values = [p.eval(gr(k)) for k in range(d + 1)]
-    out = Polynomial(())
-    for j in range(d + 1):
-        dj = values[0]
-        # sum_{m=0}^M C(m, j) = C(M+1, j+1)
-        term = binom_poly(j + 1).taylor_shift(gr(1)).scale(dj)
-        out = out + term
-        values = [values[k + 1] - values[k] for k in range(len(values) - 1)]
-        if not values:
-            break
-    return out
 
 
 def pairing(v: RationalSequence, x: RationalSequence) -> GaussianRational:

@@ -14,20 +14,15 @@ import random
 from fractions import Fraction
 
 from .dsl import (
-    BasisSeq,
-    DirectSum,
     FinSeq,
     FRAtom,
-    GeoSeq,
     IdentityAtom,
-    MatrixAtom,
     OpBin,
     OpNeg,
     OpNode,
     OpScalarMul,
     SBin,
     SConst,
-    SNeg,
     SPow,
     SVar,
     TAtom,
@@ -35,13 +30,12 @@ from .dsl import (
 )
 from .engine import (
     B_FREDHOLM,
-    B_FREDHOLM_CLASSES,
     FREDHOLM_CLASSES,
+    _commutator_trace,
     classify,
     drazin_witness,
     index_trace,
     index_winding,
-    nonstability_demo,
     punctured_scan,
     random_ideal_element,
     verify_fedosov,
@@ -51,7 +45,7 @@ from .engine import (
     verify_well_defined,
 )
 from .errors import ExactError, NotBezout
-from .finiterank import make_finite_rank, outer, trace as fr_trace
+from .finiterank import outer, trace as fr_trace
 from .matrices import jordan_nilpotent
 from .numeric import winding_oracle
 from .operators import (
@@ -76,7 +70,6 @@ from .symbols import (
     fourier_coeff,
     make_factored,
     make_symbol,
-    sym_arith,
     sym_pow,
     winding_number,
 )
@@ -370,7 +363,7 @@ def suite_traceaxioms(seed: int = 7) -> list[Case]:
         opf = embed_finite_rank(b, F)
         fb = op_arith(opf, b, "mul")
         bf = op_arith(b, opf, "mul")
-        if _op_trace(fb) != _op_trace(bf):
+        if _commutator_trace(fb) != _commutator_trace(bf):
             ok4 = False
     out.append(("trace axiom 4: tau(FB) = tau(BF)", ok4, "25 random pairs"))
     return out
@@ -380,18 +373,6 @@ def _is_idempotent(p) -> bool:
     from .finiterank import fr_equal
 
     return fr_equal(p.compose(p), p)
-
-
-def _op_trace(a: BlockOperator) -> GaussianRational:
-    total = ZERO
-    for b in a.blocks:
-        if isinstance(b, ToeplitzBlock):
-            if not b.symbol.is_zero():
-                raise ExactError("operator is not ideal; trace undefined")
-            total = total + fr_trace(b.correction)
-        else:
-            total = total + b.m.trace()
-    return total
 
 
 def suite_windingoracle(seed: int = 7) -> list[Case]:

@@ -336,31 +336,42 @@ class LaurentExpansion:
 _EXPANSION_CACHE: dict = {}
 
 
+def symbol_poles(f: RationalSymbol) -> Roots:
+    """The poles of f with multiplicities; needs a split or constant den."""
+    if f.den.is_constant():
+        return ()
+    if f.split is None:
+        raise MissingSplit(f"symbol {f} has no CircleSplit; coefficients unavailable")
+    return f.split.poles
+
+
 def laurent_expansion(f: RationalSymbol) -> LaurentExpansion:
     """Exact coefficient stream of f; needs a split or constant den."""
     key = (f.num.coeffs, f.den.coeffs, f.shift, f.split is not None)
     hit = _EXPANSION_CACHE.get(key)
     if hit is not None:
         return hit
-    out = _shift_expansion(_expansion_no_shift(f), f.shift)
+    out = expand_rational(f.num, symbol_poles(f), f.shift)
     _EXPANSION_CACHE[key] = out
     return out
 
 
-def _expansion_no_shift(f: RationalSymbol) -> LaurentExpansion:
-    if f.is_zero():
+def expand_rational(num: Polynomial, poles, shift: int) -> LaurentExpansion:
+    """Laurent expansion of z^shift * num / prod (z-p)^m on the annulus
+    containing the unit circle, by partial fractions.
+
+    Equal poles merge by multiplicity; no pole is 0 or on the circle.
+    """
+    if num.is_zero():
         return LaurentExpansion(SEQ_ZERO, SEQ_ZERO)
-    if f.den.is_constant():
-        inv = f.den.coeffs[0].inv()
-        return LaurentExpansion(seq_finite([c * inv for c in f.num.coeffs]), SEQ_ZERO)
-    if f.split is None:
-        raise MissingSplit(f"symbol {f} has no CircleSplit; coefficients unavailable")
-    quot, rem = poly_divmod(f.num, f.den)
-    head = list(quot.coeffs)
+    if shift > 0:
+        num, shift = num.shift_degree(shift), 0
+    merged = _merge_roots(poles)
+    quot, rem = poly_divmod(num, from_roots(ONE, list(merged.items())))
     pos_tails = []
     neg_tails = []
-    for p, m in f.split.poles:
-        residues = _residues_at(rem, f.split.poles, p, m)
+    for p, m in merged.items():
+        residues = _residues_at(rem, merged, p, m)
         if p.abs2() > 1:
             # 1/(z-p)^k = sum_n (-1)^k C(n+k-1, k-1) p^(-k-n) z^n
             acc = P_ZERO
@@ -376,51 +387,51 @@ def _expansion_no_shift(f: RationalSymbol) -> LaurentExpansion:
                 coef = c * p ** (1 - k)
                 acc = acc + binom_poly(k - 1).scale(coef)
             neg_tails.append((p, acc))
-    pos = make_sequence(head, pos_tails)
+    pos = make_sequence(quot.coeffs, pos_tails)
     neg = make_sequence([], neg_tails)
-    return LaurentExpansion(pos, neg)
+    if shift == 0:
+        return LaurentExpansion(pos, neg)
+    # z^shift with shift < 0 moves the first -shift coefficients of pos to neg
+    s = -shift
+    head = [pos.value(s - 1 - u) for u in range(s)]
+    return LaurentExpansion(pos.drop(s), neg.shift_up(s) + seq_finite(head))
 
 
-def _residues_at(rem: Polynomial, poles: Roots, p: GaussianRational, m: int):
+def _residues_at(rem: Polynomial, poles: dict, p: GaussianRational, m: int):
     """Partial-fraction coefficients c_k of (z-p)^(-k), k = 1..m.
 
-    Taylor-expands rem / prod_{q != p} (z-q)^mq around p; the series
-    coefficients t_0..t_{m-1} give c_{m-j} = t_j.
+    With u = z - p, expands rem / prod_{q != p} (u + p - q)^mq to order
+    u^(m-1); the series coefficients t_0..t_{m-1} give c_{m-j} = t_j.
     """
-    other = from_roots(ONE, [(q, mq) for q, mq in poles if q != p])
-    r_t = rem.taylor_shift(p)
-    d_t = other.taylor_shift(p)
+    # Taylor coefficients of rem at p: m synthetic divisions by (z - p)
+    cs = list(rem.coeffs)
+    r_t = []
+    for _ in range(m):
+        acc = ZERO
+        for k in range(len(cs) - 1, -1, -1):
+            acc = cs[k] + acc * p
+            cs[k] = acc
+        r_t.append(cs[0] if cs else ZERO)
+        cs = cs[1:]
+    # the other poles as factors (u + p - q), truncated after u^(m-1)
+    d_t = [ONE] + [ZERO] * (m - 1)
+    for q, mq in poles.items():
+        if q == p:
+            continue
+        a = p - q
+        for _ in range(mq):
+            for j in range(m - 1, 0, -1):
+                d_t[j] = d_t[j] * a + d_t[j - 1]
+            d_t[0] = d_t[0] * a
     # power series division r_t / d_t modulo u^m
-    inv0 = d_t.coeff(0).inv()
+    inv0 = d_t[0].inv()
     series = []
     for j in range(m):
-        acc = r_t.coeff(j)
+        acc = r_t[j]
         for i in range(j):
-            acc = acc - series[i] * d_t.coeff(j - i)
+            acc = acc - series[i] * d_t[j - i]
         series.append(acc * inv0)
     return [(m - j, series[j]) for j in range(m) if not series[j].is_zero()]
-
-
-def _shift_expansion(e: LaurentExpansion, w: int) -> LaurentExpansion:
-    if w == 0:
-        return e
-    if w > 0:
-        head = [e.neg.value(w - 1 - n) for n in range(w)]
-        pos = e.pos.shift_up(w) + seq_finite(head)
-        neg = e.neg.drop(w)
-        return LaurentExpansion(pos, neg)
-    s = -w
-    head = [e.pos.value(s - 1 - u) for u in range(s)]
-    neg = e.neg.shift_up(s) + seq_finite(head)
-    pos = e.pos.drop(s)
-    return LaurentExpansion(pos, neg)
-
-
-def swap_expansion(e: LaurentExpansion) -> LaurentExpansion:
-    """Expansion of f(1/z): coefficients reversed around index 0."""
-    pos = e.neg.shift_up(1) + seq_finite([e.pos.value(0)])
-    neg = e.pos.drop(1)
-    return LaurentExpansion(pos, neg)
 
 
 def fourier_coeff(f: RationalSymbol, n: int) -> GaussianRational:

@@ -174,6 +174,17 @@ def test_scan_empty_radii(capsys):
     assert out.strip() == "lambda,classification,index"
 
 
+@pytest.mark.parametrize("argv", [
+    ("T(z)", "--radii", "", "--directions=-3"),
+    ("T(z - 1)", "--radii", ""),
+], ids=["bad-directions", "not-in-class"])
+def test_scan_empty_radii_still_checks(capsys, argv):
+    # an empty grid still validates the directions and the base operator
+    code, out, _ = run(capsys, "scan", *argv)
+    assert code == 2
+    assert out == ""
+
+
 @pytest.mark.parametrize("radii", ["abc", "1/0"])
 def test_scan_malformed_radius_exit_1(capsys, radii):
     code, out, err = run(capsys, "scan", "T(z - 1/2)", "--radii", radii)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from bfredholm.errors import MissingSplit, SignatureMismatch
 from bfredholm.finiterank import fr_entry, fr_equal, fr_is_zero, outer, trace
 from bfredholm.matrices import jordan_nilpotent, matrix
 from bfredholm.operators import (
-    _column,
     direct_sum,
     embed_finite_rank,
     hankel_defect,
@@ -25,13 +25,15 @@ from bfredholm.operators import (
 )
 from bfredholm.poly import poly
 from bfredholm.scalars import gr
-from bfredholm.sequences import make_sequence, pairing, seq_basis, seq_finite
+from bfredholm.sequences import make_sequence, pairing, seq_basis, seq_finite, seq_geo
 from bfredholm.symbols import (
+    LaurentExpansion,
+    fourier_coeff,
     invert_symbol,
     laurent_expansion,
     make_symbol,
-    swap_expansion,
     sym_arith,
+    sym_pow,
     winding_number,
 )
 
@@ -41,12 +43,36 @@ F1 = make_symbol(poly([gr(Fraction(-1, 2)), 1]), poly([1]))          # z - 1/2
 F3 = sym_arith(sym_arith(F1, F1, "mul"),
                invert_symbol(make_symbol(poly([-3, 1]), poly([1]))), "mul")
 
+HALF = gr(Fraction(1, 2))
 TEST_VECTORS = [
     seq_finite([1, gr(0, Fraction(1, 2)), -2]),
     make_sequence([gr(3)], [(gr(Fraction(1, 3), Fraction(1, 5)), poly([1, 2]))]),
     make_sequence([], [(gr(Fraction(-2, 5)), poly([0, 0, 1])),
                        (gr(Fraction(1, 2)), poly([5]))]),
+    seq_geo(HALF, 1),  # n (1/2)^n: its generating function has a double pole at 2
+    seq_geo(HALF, 2),
+    # a head longer than the degree of every symbol below, plus a tail
+    seq_finite([1, 2, 0, -1, gr(0, 3), HALF, 4]) + make_sequence([], [(HALF, poly([1, 0, 2]))]),
 ]
+
+
+def _column(E: LaurentExpansion, n: int):
+    """Reference: column n of the Toeplitz matrix of E, i -> fhat(i - n)."""
+    head = [E.neg.value(n - 1 - i) for i in range(n)]
+    return E.pos.shift_up(n) + seq_finite(head)
+
+
+def swap_expansion(e: LaurentExpansion) -> LaurentExpansion:
+    """Reference: the expansion of f(1/z), coefficients reversed around 0."""
+    pos = e.neg.shift_up(1) + seq_finite([e.pos.value(0)])
+    neg = e.pos.drop(1)
+    return LaurentExpansion(pos, neg)
+
+
+def test_swap_reference_matches_fourier():
+    S = swap_expansion(laurent_expansion(F3))
+    for n in range(-6, 6):
+        assert S.value(n) == fourier_coeff(F3, -n)
 
 
 def test_shift_identity():
@@ -70,8 +96,18 @@ def test_commutator_trace_is_minus_winding(f):
 
 @pytest.mark.parametrize(
     "f",
-    [Z, ZINV, F1, F3, sym_arith(F3, ZINV, "mul")],
-    ids=["z", "1/z", "z-1/2", "ratio", "ratio/z"],
+    [
+        Z, ZINV, F1, F3, sym_arith(F3, ZINV, "mul"),
+        invert_symbol(make_symbol(poly([-2, 1]), poly([1]))),
+        invert_symbol(F1),
+        make_symbol(poly([-2, 1]), poly([-3, 1])),
+        sym_arith(F3, sym_pow(Z, 2), "mul"),
+        sym_arith(F3, sym_pow(ZINV, 2), "mul"),
+    ],
+    # 1/(z-2) and 1/(z-1/2) share a pole with the tails at ratio 1/2 (after
+    # z -> 1/z for the second); (z-2)/(z-3) and z-1/2 vanish there
+    ids=["z", "1/z", "z-1/2", "ratio", "ratio/z", "1/(z-2)", "1/(z-1/2)",
+         "(z-2)/(z-3)", "ratio*z^2", "ratio/z^2"],
 )
 def test_apply_matches_pairing_oracle(f):
     E = laurent_expansion(f)
@@ -79,9 +115,26 @@ def test_apply_matches_pairing_oracle(f):
     for x in TEST_VECTORS:
         y = toeplitz_apply(f, x)
         yt = toeplitz_apply_transpose(f, x)
-        for i in range(8):
+        for i in range(10):
             assert y.value(i) == pairing(_column(Es, i), x), (f, i)
             assert yt.value(i) == pairing(_column(E, i), x), (f, i)
+
+
+def test_apply_long_head():
+    f = make_symbol(poly([-HALF, 1]), poly([-3, 1]))  # (z - 1/2)/(z - 3)
+    start = time.perf_counter()
+    y = toeplitz_apply(f, seq_basis(1000))
+    assert time.perf_counter() - start < 2
+    for i in (0, 999, 1000, 1001, 1500):
+        assert y.value(i) == fourier_coeff(f, i - 1000)
+    start = time.perf_counter()
+    yt = toeplitz_apply_transpose(f, seq_finite([1] * 1000))
+    assert time.perf_counter() - start < 2
+    for j in (0, 998, 999, 1000, 1200):
+        expected = gr(0)
+        for n in range(1000):
+            expected = expected + fourier_coeff(f, n - j)
+        assert yt.value(j) == expected
 
 
 @pytest.mark.parametrize(

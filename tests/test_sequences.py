@@ -7,7 +7,6 @@ from bfredholm.scalars import gr
 from bfredholm.sequences import (
     make_sequence,
     pairing,
-    partial_geom_sum,
     power_series_sum,
     seq_basis,
     seq_finite,
@@ -79,31 +78,6 @@ def test_power_series_sum_float_check(p, r):
         p.eval(gr(n)).to_complex() * r.to_complex() ** n for n in range(400)
     )
     assert abs(exact.to_complex() - approx) < 1e-6
-
-
-@settings(max_examples=40)
-@given(polys, scalars.filter(lambda c: not c.is_zero()))
-def test_partial_geom_sum_identity(p, c):
-    out = partial_geom_sum(p, c)
-    for M in range(8):
-        # inclusive convention: S(M) = sum_{n=0}^{M} p(n) c^n
-        direct = gr(0)
-        for n in range(M + 1):
-            direct = direct + p.eval(gr(n)) * _pow(c, n)
-        if isinstance(out, tuple):
-            A, K = out
-            assert A.eval(gr(M)) * _pow(c, M) + K == direct
-        else:
-            # Faulhaber polynomial for c == 1
-            assert c == gr(1)
-            assert out.eval(gr(M)) == direct
-
-
-def _pow(c, n):
-    out = gr(1)
-    for _ in range(n):
-        out = out * c
-    return out
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,7 +13,6 @@ from bfredholm.symbols import (
     laurent_expansion,
     make_factored,
     make_symbol,
-    swap_expansion,
     sym_arith,
     sym_equal,
     sym_pow,
@@ -118,9 +117,6 @@ def test_expansion_matches_fourier():
     E = laurent_expansion(F3)
     for n in range(-6, 6):
         assert E.value(n) == fourier_coeff(F3, n)
-    S = swap_expansion(E)
-    for n in range(-6, 6):
-        assert S.value(n) == fourier_coeff(F3, -n)
 
 
 def test_sym_pow_negative():

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, ParseError, SignatureMismatch, ZeroSymbol
-from .finiterank import FR_ZERO, make_finite_rank
+from .errors import BudgetExceeded, ParseError, SignatureMismatch
+from .finiterank import make_finite_rank
 from .matrices import matrix as make_matrix
 from .operators import (
     BlockOperator,
@@ -39,7 +39,7 @@ from .operators import (
     op_scale,
     toeplitz_operator,
 )
-from .scalars import GaussianRational, ONE, ZERO, format_scalar, gr
+from .scalars import GaussianRational, ONE, format_scalar, gr
 from .sequences import RationalSequence, seq_basis, seq_finite, seq_geo
 from .symbols import (
     RationalSymbol,

@@ -2,13 +2,15 @@
 
 The action is F(x) = sum_k pairing(v_k, x) u_k with the bilinear pairing
 (no conjugation), so everything stays inside Q(i).  The term count is an
-upper bound on the rank; exact rank is not computed.
+upper bound on the rank; exact rank is not computed.  An entry
+F_ij = sum_k u_k(i) v_k(j) reads v_k(j) only where u_k(i) is nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import IndexOutOfRange
 from .scalars import GaussianRational, ZERO, gr
 from .sequences import RationalSequence, SEQ_ZERO, pairing
 
@@ -85,9 +87,15 @@ def trace(F: FiniteRankOperator) -> GaussianRational:
 
 
 def fr_entry(F: FiniteRankOperator, i: int, j: int) -> GaussianRational:
+    """F_ij = sum_k u_k(i) v_k(j) for i, j >= 0."""
+    if i < 0 or j < 0:
+        raise IndexOutOfRange(f"({i},{j}) has a negative index")
     total = ZERO
     for u, v in F.terms:
-        total = total + u.value(i) * v.value(j)
+        a = u.value(i)
+        b = ZERO if a.is_zero() else v.value(j)
+        if not b.is_zero():
+            total = a * b if total.is_zero() else total + a * b
     return total
 
 

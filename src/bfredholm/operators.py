@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import IndexOutOfRange, MissingSplit, SignatureMismatch
-from .finiterank import FR_ZERO, FiniteRankOperator, fr_is_zero, make_finite_rank
+from .finiterank import FR_ZERO, FiniteRankOperator, fr_entry, fr_is_zero, make_finite_rank
 from .matrices import ExactMatrix, identity as mat_identity
 from .poly import P_ZERO, Polynomial, from_roots, poly
 from .scalars import GaussianRational, ONE, ZERO, gr
@@ -28,6 +28,7 @@ from .symbols import (
     RationalSymbol,
     ZERO_SYMBOL,
     expand_rational,
+    fourier_coeff,
     laurent_expansion,
     make_factored,
     sym_arith,
@@ -303,14 +304,15 @@ def op_power(a: BlockOperator, p: int) -> BlockOperator:
 
 
 def op_entry(a: BlockOperator, block_index: int, i: int, j: int) -> GaussianRational:
-    from .symbols import fourier_coeff
-    from .finiterank import fr_entry
-
+    if not 0 <= block_index < len(a.blocks):
+        raise IndexOutOfRange(f"block {block_index} of {len(a.blocks)}")
     block = a.blocks[block_index]
     if isinstance(block, ToeplitzBlock):
-        sym = block.symbol
-        base = ZERO if sym.is_zero() else fourier_coeff(sym, i - j)
-        return base + fr_entry(block.correction, i, j)
+        corr = fr_entry(block.correction, i, j)  # raises on a negative index
+        if block.symbol.is_zero():
+            return corr
+        base = fourier_coeff(block.symbol, i - j)
+        return base if corr.is_zero() else base + corr
     if not (0 <= i < block.m.rows and 0 <= j < block.m.cols):
         raise IndexOutOfRange(f"({i},{j}) outside {block.m.rows}x{block.m.cols} block")
     return block.m.at(i, j)

@@ -81,8 +81,8 @@ class Polynomial:
         return Polynomial((ZERO,) * k + self.coeffs)
 
     def eval(self, x: GaussianRational) -> GaussianRational:
-        acc = ZERO
-        for c in reversed(self.coeffs):
+        acc = self.coeffs[-1] if self.coeffs else ZERO  # a constant costs no arithmetic
+        for c in self.coeffs[-2::-1]:
             acc = acc * x + c
         return acc
 

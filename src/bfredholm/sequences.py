@@ -7,6 +7,11 @@ n = 0 (a nonzero public ``start`` is folded into head corrections), the
 head is trimmed, tails with equal ratios are merged and zero tails are
 dropped.  That makes the representation unique, so structural equality
 is mathematical equality.
+
+``value(n)`` (n >= 0) and the tail-times-head part of ``pairing`` share
+one tail sum: a constant tail reads its coefficient without evaluating
+its polynomial, and the first nonzero term starts the sum, so a constant
+tail costs one power, one product and at most one sum; nothing is cached.
 """
 
 from __future__ import annotations
@@ -26,11 +31,8 @@ class RationalSequence:
     tails: tuple[tuple[GaussianRational, Polynomial], ...]
 
     def value(self, n: int) -> GaussianRational:
-        v = self.head[n] if n < len(self.head) else ZERO
-        x = gr(n)
-        for r, p in self.tails:
-            v = v + p.eval(x) * r**n
-        return v
+        """x_n for n >= 0: the head entry plus one term per tail."""
+        return _tail_sum(self.tails, n, self.head[n] if n < len(self.head) else ZERO)
 
     def is_zero(self) -> bool:
         return not self.head and not self.tails
@@ -165,6 +167,14 @@ def power_series_sum(p: Polynomial, r: GaussianRational) -> GaussianRational:
     return total
 
 
+def _tail_sum(tails, n: int, total: GaussianRational = ZERO) -> GaussianRational:
+    """total + sum_t p_t(n) r_t^n (n >= 0); a constant tail is not evaluated."""
+    for r, p in tails:
+        term = (p.coeffs[0] if p.is_constant() else p.eval(gr(n))) * r**n
+        total = term if total.is_zero() else total + term
+    return total
+
+
 def pairing(v: RationalSequence, x: RationalSequence) -> GaussianRational:
     """Bilinear pairing sum_n v_n x_n, exact (no conjugation)."""
     total = ZERO
@@ -174,20 +184,10 @@ def pairing(v: RationalSequence, x: RationalSequence) -> GaussianRational:
             total = total + hv * x.value(n)
     # tail x head (head part of x only, avoiding double count of x tails)
     for n, hx in enumerate(x.head):
-        if hx.is_zero():
-            continue
-        acc = ZERO
-        for r, p in v.tails:
-            acc = acc + p.eval(gr(n)) * r**n
-        total = total + acc * hx
+        if v.tails and not hx.is_zero():
+            total = total + _tail_sum(v.tails, n) * hx
     # tail x tail
     for rv, pv in v.tails:
         for rx, px in x.tails:
-            total = total + _product_series(pv, rv, px, rx)
+            total = total + power_series_sum(pv * px, rv * rx)
     return total
-
-
-def _product_series(pv, rv, px, rx) -> GaussianRational:
-    prod_ratio = rv * rx
-    prod_poly = pv * px
-    return power_series_sum(prod_poly, prod_ratio)

@@ -63,7 +63,7 @@ from .operators import (
 )
 from .poly import poly
 from .scalars import GaussianRational, ONE, ZERO, gr
-from .sequences import pairing, seq_basis, seq_finite, seq_geo
+from .sequences import seq_basis, seq_finite, seq_geo
 from .symbols import (
     RationalSymbol,
     ZERO_SYMBOL,

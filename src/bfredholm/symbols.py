@@ -29,7 +29,6 @@ from .poly import (
     Polynomial,
     binom_poly,
     from_roots,
-    poly,
     poly_divmod,
     poly_gcd,
     rising_binom_poly,

@@ -10,8 +10,9 @@ from bfredholm.finiterank import (
     outer,
     trace,
 )
-from bfredholm.scalars import gr
-from bfredholm.sequences import pairing, seq_basis, seq_finite, seq_geo
+from bfredholm.scalars import GaussianRational, gr
+from bfredholm.sequences import RationalSequence, pairing, seq_basis, seq_finite, seq_geo
+from references import fr_entry_reference, random_finite_rank, random_sequence
 
 
 def _rand_seq(rng):
@@ -87,3 +88,65 @@ def test_zero_and_equal():
     # cancelling representations: u(x)u + (-u)(x)u == 0
     G = make_finite_rank([(u, u), (u.scale(gr(-1)), u)])
     assert fr_is_zero(G)
+
+
+def test_fr_entry_matches_reference():
+    rng = random.Random(41)
+    for _ in range(25):
+        F = random_finite_rank(rng)
+        for i in range(41):
+            for j in (0, i, 40 - i, rng.randint(0, 40)):
+                assert fr_entry(F, i, j) == fr_entry_reference(F, i, j), (i, j)
+
+
+def _zero_pattern_operator():
+    # u(i) or v(j) is zero on purpose at most small indices
+    rng = random.Random(42)
+    terms = [
+        (seq_finite([0, 1, 0, 2]), seq_finite([3, 0, gr(0, 1)])),
+        (seq_finite([5, 0, 0, 1]), random_sequence(rng)),
+        (seq_basis(2), seq_geo(gr(Fraction(1, 2), Fraction(1, 3)))),
+        (seq_geo(gr(Fraction(-1, 3))), seq_finite([0, 0, 7])),
+    ]
+    return make_finite_rank(terms)
+
+
+def test_fr_entry_reads_v_only_where_u_is_nonzero(monkeypatch):
+    F = _zero_pattern_operator()
+    reads = []
+    value = RationalSequence.value
+
+    def recording_value(self, n):
+        reads.append((id(self), n))
+        return value(self, n)
+
+    monkeypatch.setattr(RationalSequence, "value", recording_value)
+    for i in range(6):
+        for j in range(5):
+            reads.clear()
+            got = fr_entry(F, i, j)
+            assert got == fr_entry_reference(F, i, j)
+            for u, v in F.terms:
+                assert ((id(v), j) in reads) == (not value(u, i).is_zero()), (i, j)
+
+
+def test_fr_entry_multiplies_only_nonzero_pairs(monkeypatch):
+    # finite heads only, so every product counted is one fr_entry made
+    F = make_finite_rank([
+        (seq_finite([0, 1, 0, 2]), seq_finite([3, 0, gr(0, 1)])),
+        (seq_finite([5, 0, 0, 1]), seq_finite([0, 0, 4])),
+    ])
+    products = []
+    mul = GaussianRational.__mul__
+
+    def counting_mul(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
+    for i in range(5):
+        for j in range(4):
+            products.clear()
+            fr_entry(F, i, j)
+            pairs = [(u.value(i), v.value(j)) for u, v in F.terms]
+            assert len(products) == sum(not a.is_zero() and not b.is_zero() for a, b in pairs)

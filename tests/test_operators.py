@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from bfredholm.errors import MissingSplit, SignatureMismatch
+from bfredholm.dsl import evaluate, parse
+from bfredholm.errors import IndexOutOfRange, MissingSplit, SignatureMismatch
 from bfredholm.finiterank import fr_entry, fr_equal, fr_is_zero, outer, trace
 from bfredholm.matrices import jordan_nilpotent, matrix
 from bfredholm.operators import (
@@ -233,3 +234,22 @@ def test_quotient_equal_ignores_ideal():
     B = op_arith(A, embed_finite_rank(A, j, 0), "add")
     assert not op_equal(A, B)
     assert quotient_equal(A, B)
+
+
+@pytest.mark.parametrize("i, j", [(0, -1), (-1, 0), (-1, -1), (-2, 3)])
+def test_negative_entry_index_raises_on_every_block_kind(i, j):
+    # Python indexing would read head[-1] and fhat at the wrong index
+    a = evaluate(parse("T((z-1/2)/(z-3)) + FR{fin[1,2] | geo(1/2)} (++) M[[1,2],[3,4]]"))
+    for block in (0, 1):
+        with pytest.raises(IndexOutOfRange):
+            op_entry(a, block, i, j)
+    with pytest.raises(IndexOutOfRange):
+        fr_entry(a.blocks[0].correction, i, j)
+    assert op_entry(a, 0, 0, 1) == fourier_coeff(a.blocks[0].symbol, -1) + gr(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("block", [-1, -2, 2])
+def test_block_index_outside_the_sum_raises(block):
+    a = evaluate(parse("T(z) (++) M[[7]]"))
+    with pytest.raises(IndexOutOfRange):
+        op_entry(a, block, 0, 0)

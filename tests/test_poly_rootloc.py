@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from bfredholm.poly import (
 )
 from bfredholm.rootloc import count_zeros_in_disk, has_zero_on_circle
 from bfredholm.scalars import gr
+from references import eval_reference, random_poly, random_ratio
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 scalars = st.builds(gr, fracs, fracs)
@@ -126,3 +129,11 @@ def test_random_root_counts(raw):
     inside = sum(1 for a, _ in roots if a.abs2() < 1)
     assert not has_zero_on_circle(p)
     assert count_zeros_in_disk(p) == inside
+
+
+def test_eval_matches_reference_horner():
+    rng = random.Random(2024)
+    for _ in range(300):
+        p = random_poly(rng, rng.randint(0, 5)) if rng.random() < 0.9 else poly([])
+        x = random_ratio(rng) if rng.random() < 0.5 else gr(rng.randint(0, 40))
+        assert p.eval(x) == eval_reference(p, x), (p, x)

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from bfredholm.poly import poly
@@ -12,6 +14,7 @@ from bfredholm.sequences import (
     seq_finite,
     seq_geo,
 )
+from references import pairing_reference, random_sequence, value_reference
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalars = st.builds(gr, fracs, fracs)
@@ -96,3 +99,28 @@ def test_pairing_bilinear():
     w = seq_geo(gr(Fraction(-1, 2)))
     c = gr(Fraction(2, 5), 1)
     assert pairing(u.scale(c), v + w) == c * (pairing(u, v) + pairing(u, w))
+
+
+def test_value_matches_reference_for_n_0_to_40():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(80):
+        s = random_sequence(rng)
+        seen |= {("degree", p.degree) for _, p in s.tails}
+        for n in range(41):
+            got = s.value(n)
+            assert got == value_reference(s, n), (str(s), n)
+            if n < len(s.head) and not s.head[n].is_zero():
+                seen.add("read inside the head")
+            if s.head and n >= len(s.head):
+                seen.add("read past the head")
+    # the seeded inputs reach every case the fast path treats apart
+    want = {("degree", d) for d in range(4)} | {"read inside the head", "read past the head"}
+    assert want <= seen
+
+
+def test_pairing_matches_reference():
+    rng = random.Random(32)
+    for _ in range(60):
+        v, x = random_sequence(rng), random_sequence(rng)
+        assert pairing(v, x) == pairing_reference(v, x), (str(v), str(x))

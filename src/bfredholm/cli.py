@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     SignatureMismatch,
 )
+from .operators import op_entry
 from .scalars import format_scalar
 from .suites import SUITES, run_suite
 
@@ -165,8 +166,6 @@ def cmd_index(args) -> tuple[int, str]:
 
 
 def cmd_entries(args) -> tuple[int, str]:
-    from .operators import op_entry
-
     op = evaluate(parse(args.expr))
     if not (0 <= args.block < len(op.blocks)):
         raise IndexOutOfRange(f"block {args.block} of {len(op.blocks)}")
@@ -174,17 +173,13 @@ def cmd_entries(args) -> tuple[int, str]:
         raise IndexOutOfRange(f"window size {args.rows}x{args.cols} is negative")
     if max(args.rows, args.cols) > MAX_WINDOW:
         raise BudgetExceeded("window side", max(args.rows, args.cols), "MAX_WINDOW", MAX_WINDOW)
-    rows = []
-    for i in range(args.rows):
-        rows.append(
-            ",".join(
-                format_scalar(op_entry(op, args.block, i, j))
-                for j in range(args.cols)
-            )
-        )
+    rows = [
+        [format_scalar(op_entry(op, args.block, i, j)) for j in range(args.cols)]
+        for i in range(args.rows)
+    ]
     if args.format == "json":
-        return EXIT_OK, json.dumps({"rows": [r.split(",") for r in rows]}, indent=2)
-    return EXIT_OK, "\n".join(rows)
+        return EXIT_OK, json.dumps({"rows": rows}, indent=2)
+    return EXIT_OK, "\n".join(",".join(r) for r in rows)
 
 
 def cmd_scan(args) -> tuple[int, str]:

@@ -26,12 +26,13 @@ from .errors import (
     ZeroOnCircle,
 )
 from .finiterank import FR_ZERO, FiniteRankOperator, make_finite_rank, trace as fr_trace
-from .matrices import drazin, is_nilpotent, zeros as mat_zeros
+from .matrices import drazin, is_nilpotent, matrix, zeros as mat_zeros
 from .operators import (
     Block,
     BlockOperator,
     MatrixBlock,
     ToeplitzBlock,
+    embed_finite_rank,
     identity_like,
     op_arith,
     op_equal,
@@ -39,11 +40,13 @@ from .operators import (
     scalar_shift,
     toeplitz_operator,
 )
+from .poly import poly
 from .scalars import GaussianRational, ZERO, gr
 from .sequences import seq_finite
 from .symbols import (
     ZERO_SYMBOL,
     invert_symbol,
+    make_symbol,
     sym_arith,
     sym_pow,
     winding_number,
@@ -302,8 +305,6 @@ def _perturb_witness(
                 ]
                 for _ in range(n)
             ]
-            from .matrices import matrix
-
             blocks.append(MatrixBlock(b.m + matrix(delta)))
     return BlockOperator(tuple(blocks))
 
@@ -427,8 +428,6 @@ def verify_ideal_perturbation(
     a: BlockOperator, j: FiniteRankOperator, block_index: int = 0
 ) -> dict:
     """i(a + j) = i(a) for ideal j (Proposition ii shape)."""
-    from .operators import embed_finite_rank
-
     base_c, base = _class_and_index(a)
     if base_c == NOT_IN_CLASS:
         raise NotBFredholm("base operator is not in class")
@@ -469,9 +468,6 @@ def verify_power_law(a: BlockOperator, p: int) -> dict:
 def nonstability_demo() -> list[dict]:
     """T(z-1) is not in class, yet arbitrarily small scalar shifts are
     Fredholm: the class of B-Fredholm operators is not open."""
-    from .poly import poly
-    from .symbols import make_symbol
-
     base = toeplitz_operator(make_symbol(poly([-1, 1]), poly([1])))
     rows = []
     lams = [

@@ -2,8 +2,10 @@
 
 The action is F(x) = sum_k pairing(v_k, x) u_k with the bilinear pairing
 (no conjugation), so everything stays inside Q(i).  The term count is an
-upper bound on the rank; exact rank is not computed.  An entry
-F_ij = sum_k u_k(i) v_k(j) reads v_k(j) only where u_k(i) is nonzero.
+upper bound on the rank; exact rank is not computed.  A composition F o G
+is formed by its action, F(u') (x) v' for each term of G, so it has one
+term per term of the right factor.  An entry F_ij = sum_k u_k(i) v_k(j)
+reads v_k(j) only where u_k(i) is nonzero.
 """
 
 from __future__ import annotations
@@ -31,12 +33,7 @@ class FiniteRankOperator:
 
     def apply_transpose(self, x: RationalSequence) -> RationalSequence:
         """x composed on the left: row action, entries F^T(x)_j = sum_i x_i F_ij."""
-        out = SEQ_ZERO
-        for u, v in self.terms:
-            c = pairing(u, x)
-            if not c.is_zero():
-                out = out + v.scale(c)
-        return out
+        return self.transpose().apply(x)
 
     def transpose(self) -> "FiniteRankOperator":
         return FiniteRankOperator(tuple((v, u) for u, v in self.terms))
@@ -56,14 +53,8 @@ class FiniteRankOperator:
         return self.scale(gr(-1))
 
     def compose(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
-        """(u (x) v) o (u' (x) v') = pairing(v, u') u (x) v'."""
-        terms = []
-        for u, v in self.terms:
-            for up, vp in other.terms:
-                c = pairing(v, up)
-                if not c.is_zero():
-                    terms.append((u.scale(c), vp))
-        return make_finite_rank(terms)
+        """F o (u' (x) v') = F(u') (x) v': one term per term of other."""
+        return make_finite_rank([(self.apply(u), v) for u, v in other.terms])
 
 
 def make_finite_rank(terms) -> FiniteRankOperator:

@@ -82,8 +82,8 @@ def _apply_rational(num: Polynomial, poles, shift: int, x: RationalSequence) -> 
 # ---------------------------------------------------------------------------
 
 
-def _split_shifted(p: Polynomial, sign: int) -> list[Polynomial]:
-    """Polynomials g_e with p(i + sign*m) = sum_e g_e(i) m^e."""
+def _split_shifted(p: Polynomial) -> list[Polynomial]:
+    """Polynomials g_e with p(i + m) = sum_e g_e(i) m^e."""
     if p.is_zero():
         return []
     d = p.degree
@@ -92,9 +92,7 @@ def _split_shifted(p: Polynomial, sign: int) -> list[Polynomial]:
         if c.is_zero():
             continue
         for e in range(deg + 1):
-            s = sign ** e
-            coef = c * gr(comb(deg, e) * s)
-            out[e] = out[e] + poly([0] * (deg - e) + [1]).scale(coef)
+            out[e] = out[e] + poly([0] * (deg - e) + [1]).scale(c * gr(comb(deg, e)))
     return out
 
 
@@ -121,9 +119,9 @@ def hankel_cross(a: RationalSequence, b: RationalSequence) -> FiniteRankOperator
             v = seq_finite(hb[k:])
             terms.append((u, v))
     for rho, p in a.tails:
-        alphas = _split_shifted(p, 1)
+        alphas = _split_shifted(p)
         for sigma, q in b.tails:
-            betas = _split_shifted(q, 1)
+            betas = _split_shifted(q)
             # w[s] = sum_k k^s (rho*sigma)^k, once per power s
             w = [power_series_sum(_monomial(s), rho * sigma) for s in range(len(alphas) + len(betas) - 1)]
             for e, alpha in enumerate(alphas):
@@ -222,16 +220,12 @@ def _toeplitz_mul(x: ToeplitzBlock, y: ToeplitzBlock) -> ToeplitzBlock:
                 f"product needs exact coefficients of {s}; no CircleSplit"
             )
     symbol = sym_arith(f, g, "mul")
-    corr = -hankel_defect(f, g)
-    if not f.is_zero() and G.terms:
-        corr = corr + make_finite_rank(
-            [(toeplitz_apply(f, u), v) for u, v in G.terms]
-        )
-    if not g.is_zero() and F.terms:
-        corr = corr + make_finite_rank(
-            [(u, toeplitz_apply_transpose(g, v)) for u, v in F.terms]
-        )
-    corr = corr + F.compose(G)
+    # (T(f) + F)(T(g) + G) = T(fg) - H(f, g) + T(f) G + F (T(g) + G),
+    # with F (T(g) + G) = sum u_k (x) (T(g)^T v_k + G^T v_k)
+    corr = -hankel_defect(f, g) + make_finite_rank(
+        [(toeplitz_apply(f, u), v) for u, v in G.terms]
+        + [(u, toeplitz_apply_transpose(g, v) + G.apply_transpose(v)) for u, v in F.terms]
+    )
     return ToeplitzBlock(symbol, corr)
 
 

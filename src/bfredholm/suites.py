@@ -26,6 +26,7 @@ from .dsl import (
     SPow,
     SVar,
     TAtom,
+    eval_sym,
     evaluate,
 )
 from .engine import (
@@ -45,7 +46,7 @@ from .engine import (
     verify_well_defined,
 )
 from .errors import ExactError, NotBezout
-from .finiterank import outer, trace as fr_trace
+from .finiterank import fr_equal, outer, trace as fr_trace
 from .matrices import jordan_nilpotent
 from .numeric import winding_oracle
 from .operators import (
@@ -59,6 +60,7 @@ from .operators import (
     op_arith,
     op_entry,
     op_scale,
+    scalar_shift,
     toeplitz_operator,
 )
 from .poly import poly
@@ -198,8 +200,6 @@ def suite_punctured(seed: int = 7) -> list[Case]:
         except ExactError as e:
             out.append((f"punctured: {name}", False, str(e)))
     # document the boundary coincidence explicitly
-    from .operators import scalar_shift
-
     ratio = toeplitz_operator(
         make_factored(ONE, 0, [(_half(), 2)], [(gr(3), 1)])
     )
@@ -370,8 +370,6 @@ def suite_traceaxioms(seed: int = 7) -> list[Case]:
 
 
 def _is_idempotent(p) -> bool:
-    from .finiterank import fr_equal
-
     return fr_equal(p.compose(p), p)
 
 
@@ -493,8 +491,6 @@ def _bandwidth(node: OpNode) -> int:
 
 
 def _sym_of(node: TAtom) -> RationalSymbol:
-    from .dsl import eval_sym
-
     return eval_sym(node.sym)
 
 

@@ -6,6 +6,11 @@ entry plus every tail added to zero, the pairing with its own tail loop,
 and a finite-rank entry as the full sum of products.  The library's
 evaluation skips arithmetic that cannot change the result; the
 differential tests check that it still agrees with these.
+
+Products are kept in their expanded form: a composition as |F|·|G|
+outer products, and the correction of (T(f) + F)(T(g) + G) as four
+separate pieces.  The library forms both by their action, with one term
+per factor term, and the tests check that the operators are equal.
 """
 
 from __future__ import annotations
@@ -14,9 +19,11 @@ import random
 from fractions import Fraction
 
 from bfredholm.finiterank import FiniteRankOperator, make_finite_rank
-from bfredholm.poly import Polynomial
+from bfredholm.operators import hankel_defect, toeplitz_apply, toeplitz_apply_transpose
+from bfredholm.poly import Polynomial, poly
 from bfredholm.scalars import ZERO, GaussianRational, gr
-from bfredholm.sequences import RationalSequence, make_sequence, power_series_sum
+from bfredholm.sequences import RationalSequence, make_sequence, pairing, power_series_sum
+from bfredholm.symbols import ZERO_SYMBOL, RationalSymbol, make_factored, make_symbol
 
 
 def eval_reference(p: Polynomial, x: GaussianRational) -> GaussianRational:
@@ -55,6 +62,29 @@ def fr_entry_reference(F: FiniteRankOperator, i: int, j: int) -> GaussianRationa
     return total
 
 
+def compose_reference(F: FiniteRankOperator, G: FiniteRankOperator) -> FiniteRankOperator:
+    """(u (x) v) o (u' (x) v') = pairing(v, u') u (x) v', over every pair."""
+    terms = []
+    for u, v in F.terms:
+        for up, vp in G.terms:
+            c = pairing(v, up)
+            if not c.is_zero():
+                terms.append((u.scale(c), vp))
+    return make_finite_rank(terms)
+
+
+def product_correction_reference(
+    f: RationalSymbol, F: FiniteRankOperator, g: RationalSymbol, G: FiniteRankOperator
+) -> FiniteRankOperator:
+    """(T(f) + F)(T(g) + G) - T(fg) = -H(f, g) + T(f) G + F T(g) + F G."""
+    corr = -hankel_defect(f, g)
+    if not f.is_zero() and G.terms:
+        corr = corr + make_finite_rank([(toeplitz_apply(f, u), v) for u, v in G.terms])
+    if not g.is_zero() and F.terms:
+        corr = corr + make_finite_rank([(u, toeplitz_apply_transpose(g, v)) for u, v in F.terms])
+    return corr + compose_reference(F, G)
+
+
 def _scalar(rng: random.Random, zero_share: float = 0.0) -> GaussianRational:
     if rng.random() < zero_share:
         return ZERO
@@ -65,7 +95,7 @@ def random_ratio(rng: random.Random) -> GaussianRational:
     """A nonzero complex ratio strictly inside the unit disk."""
     while True:
         r = gr(Fraction(rng.randint(-3, 3), rng.randint(4, 7)), Fraction(rng.randint(-3, 3), rng.randint(4, 7)))
-        if not r.is_zero():
+        if not r.is_zero() and r.abs2() < 1:
             return r
 
 
@@ -86,3 +116,18 @@ def random_sequence(rng: random.Random) -> RationalSequence:
 
 def random_finite_rank(rng: random.Random, terms: int = 4) -> FiniteRankOperator:
     return make_finite_rank([(random_sequence(rng), random_sequence(rng)) for _ in range(terms)])
+
+
+def random_symbol(rng: random.Random) -> RationalSymbol:
+    """Zero, a Laurent polynomial, or a split symbol with poles inside and
+    outside the unit circle, each with multiplicity 1 or 2."""
+    kind = rng.choice(["zero", "laurent", "split", "split"])
+    if kind == "zero":
+        return ZERO_SYMBOL
+    if kind == "laurent":
+        return make_symbol(random_poly(rng, rng.randint(0, 3)), poly([1]), rng.randint(-3, 1))
+    zeros = [(random_ratio(rng), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+    inner = [(random_ratio(rng), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+    outer = [(random_ratio(rng).inv(), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+    scale = random_poly(rng, 0).coeffs[0]  # nonzero
+    return make_factored(scale, rng.randint(-1, 1), zeros, inner + outer)

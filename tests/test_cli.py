@@ -138,6 +138,23 @@ def test_entries_shift_product(capsys):
     assert out.splitlines()[:3] == ["0,0,0", "0,1,0", "0,0,1"]
 
 
+@pytest.mark.parametrize("rows, cols, want", [(2, 0, [[], []]), (0, 3, []), (2, 2, [["0", "0"], ["1", "0"]])])
+def test_entries_json_window_shape(capsys, rows, cols, want):
+    code, out, _ = run(capsys, "entries", "T(z)", "--rows", str(rows), "--cols", str(cols), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"rows": want}
+
+
+def test_index_of_a_16_factor_product(capsys):
+    # a term-by-term product would carry 2^16 - 1 correction terms
+    factor = "(T((z-1/2)/(z-3)) + FR{geo(1/2) | e0})"
+    start = time.monotonic()
+    code, out, err = run(capsys, "index", " * ".join([factor] * 16))
+    assert code == 0, err
+    assert out.split()[0] == "-16"
+    assert time.monotonic() - start < 5.0
+
+
 def test_entries_block_out_of_range(capsys):
     code, _, err = run(capsys, "entries", "T(z)", "--block", "5")
     assert code == 2

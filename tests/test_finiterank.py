@@ -11,8 +11,8 @@ from bfredholm.finiterank import (
     trace,
 )
 from bfredholm.scalars import GaussianRational, gr
-from bfredholm.sequences import RationalSequence, pairing, seq_basis, seq_finite, seq_geo
-from references import fr_entry_reference, random_finite_rank, random_sequence
+from bfredholm.sequences import SEQ_ZERO, RationalSequence, pairing, seq_basis, seq_finite, seq_geo
+from references import compose_reference, fr_entry_reference, random_finite_rank, random_sequence
 
 
 def _rand_seq(rng):
@@ -150,3 +150,24 @@ def test_fr_entry_multiplies_only_nonzero_pairs(monkeypatch):
             fr_entry(F, i, j)
             pairs = [(u.value(i), v.value(j)) for u, v in F.terms]
             assert len(products) == sum(not a.is_zero() and not b.is_zero() for a, b in pairs)
+
+
+def test_compose_matches_the_double_loop():
+    rng = random.Random(43)
+    for _ in range(30):
+        F = random_finite_rank(rng, rng.randint(0, 3))
+        G = random_finite_rank(rng, rng.randint(0, 3))
+        H = F.compose(G)
+        assert len(H.terms) <= len(G.terms)
+        assert fr_equal(H, compose_reference(F, G))
+
+
+def test_apply_transpose_is_the_transposed_action():
+    rng = random.Random(44)
+    for _ in range(20):
+        F = random_finite_rank(rng, rng.randint(0, 3))
+        x = random_sequence(rng)
+        want = SEQ_ZERO
+        for u, v in F.terms:
+            want = want + v.scale(pairing(u, x))
+        assert F.apply_transpose(x) == want

@@ -1,9 +1,11 @@
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
 from bfredholm.dsl import evaluate, parse
+from bfredholm.engine import analyze
 from bfredholm.errors import IndexOutOfRange, MissingSplit, SignatureMismatch
 from bfredholm.finiterank import fr_entry, fr_equal, fr_is_zero, outer, trace
 from bfredholm.matrices import jordan_nilpotent, matrix
@@ -34,9 +36,11 @@ from bfredholm.symbols import (
     laurent_expansion,
     make_symbol,
     sym_arith,
+    sym_equal,
     sym_pow,
     winding_number,
 )
+from references import product_correction_reference, random_finite_rank, random_symbol
 
 Z = make_symbol(poly([0, 1]), poly([1]))
 ZINV = invert_symbol(Z)
@@ -253,3 +257,29 @@ def test_block_index_outside_the_sum_raises(block):
     a = evaluate(parse("T(z) (++) M[[7]]"))
     with pytest.raises(IndexOutOfRange):
         op_entry(a, block, 0, 0)
+
+
+def test_product_correction_matches_the_four_pieces():
+    rng = random.Random(45)
+    for _ in range(40):
+        f, g = random_symbol(rng), random_symbol(rng)
+        F = random_finite_rank(rng, rng.randint(0, 3))
+        G = random_finite_rank(rng, rng.randint(0, 3))
+        P = op_arith(toeplitz_operator(f, F), toeplitz_operator(g, G), "mul").blocks[0]
+        assert sym_equal(P.symbol, sym_arith(f, g, "mul"))
+        corr = P.correction
+        assert len(corr.terms) <= len(F.terms) + len(G.terms) + len(hankel_defect(f, g).terms)
+        assert fr_equal(corr, product_correction_reference(f, F, g, G)), (f, g)
+
+
+PFOLD_FACTOR = "(T((z-1/2)/(z-3)) + FR{geo(1/2) | e0})"
+
+
+def test_p_fold_product_correction_grows_linearly():
+    # term by term, the correction of p factors has 2^p - 1 outer products
+    P = evaluate(parse(" * ".join([PFOLD_FACTOR] * 8)))
+    assert len(P.blocks[0].correction.terms) <= 8
+    start = time.perf_counter()
+    report = analyze(evaluate(parse(" * ".join([PFOLD_FACTOR] * 16))))
+    assert time.perf_counter() - start < 2
+    assert report.index_trace == report.index_winding == -16

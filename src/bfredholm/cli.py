@@ -76,6 +76,16 @@ def _radii(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"malformed radius list {text!r}") from None
 
 
+def _trials(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="bfredholm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -110,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", required=True, choices=sorted(SUITES) + ["all"]
     )
     sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--trials", type=_trials, default=20)
     common(sp)
 
     sp = sub.add_parser("demo", help="narrative demonstrations")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import IndexOutOfRange, MissingSplit, SignatureMismatch
+from .errors import IndexOutOfRange, SignatureMismatch
 from .finiterank import FR_ZERO, FiniteRankOperator, fr_entry, fr_is_zero, make_finite_rank
 from .matrices import ExactMatrix, identity as mat_identity
 from .poly import P_ZERO, Polynomial, from_roots, poly
@@ -210,15 +210,6 @@ def _check_signature(a: BlockOperator, b: BlockOperator):
 def _toeplitz_mul(x: ToeplitzBlock, y: ToeplitzBlock) -> ToeplitzBlock:
     f, F = x.symbol, x.correction
     g, G = y.symbol, y.correction
-    needs = (
-        (f, not g.is_zero() or bool(G.terms)),
-        (g, not f.is_zero() or bool(F.terms)),
-    )
-    for s, consumed in needs:
-        if consumed and not s.supports_coefficients():
-            raise MissingSplit(
-                f"product needs exact coefficients of {s}; no CircleSplit"
-            )
     symbol = sym_arith(f, g, "mul")
     # (T(f) + F)(T(g) + G) = T(fg) - H(f, g) + T(f) G + F (T(g) + G),
     # with F (T(g) + G) = sum u_k (x) (T(g)^T v_k + G^T v_k)

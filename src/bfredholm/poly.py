@@ -147,7 +147,6 @@ class Polynomial:
 
 P_ZERO = Polynomial(())
 P_ONE = Polynomial((ONE,))
-P_Z = Polynomial((ZERO, ONE))
 
 
 def poly(values: Sequence) -> Polynomial:

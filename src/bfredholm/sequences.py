@@ -125,17 +125,9 @@ def seq_basis(i: int) -> RationalSequence:
     return make_sequence([ZERO] * i + [ONE], [])
 
 
-def seq_geo(ratio: GaussianRational, degree: int = 0, start: int = 0) -> RationalSequence:
-    """x_n = n^degree * ratio^n for n >= start, zero before."""
-    return seq_tail(ratio, poly([0] * degree + [1]) if degree else poly([1]), start)
-
-
-def seq_tail(ratio: GaussianRational, p: Polynomial, start: int = 0) -> RationalSequence:
-    """x_n = p(n) * ratio^n for n >= start, zero before (public form)."""
-    if p.is_zero():
-        return SEQ_ZERO
-    head = [-(p.eval(gr(n)) * ratio**n) for n in range(start)]
-    return make_sequence(head, [(ratio, p)])
+def seq_geo(ratio: GaussianRational, degree: int = 0) -> RationalSequence:
+    """x_n = n^degree * ratio^n."""
+    return make_sequence([], [(ratio, poly([0] * degree + [1]))])
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ shift), gcd(num, den) is constant, and den never vanishes on the unit
 circle.  Structural equality of the canonical fields is equality of
 rational functions.
 
-A symbol may carry a CircleSplit witness: a full linear factorization
-with every zero and pole classified strictly inside or outside the unit
-circle.  The split is what makes Fourier coefficients and inverse
-symbols exactly computable; winding numbers never need it.
+A symbol may carry a CircleSplit witness: its zeros and poles with
+multiplicities, none on the unit circle.  The split is what makes
+Fourier coefficients and inverse symbols exactly computable; winding
+numbers never need it.  Which side of the circle a root lies on is read
+where it is used, by the partial fractions of the expansion.  A symbol
+computes its Laurent expansion on the first read and keeps it.
 """
 
 from __future__ import annotations
@@ -47,21 +49,10 @@ Roots = tuple[tuple[GaussianRational, int], ...]
 
 @dataclass(frozen=True, slots=True)
 class CircleSplit:
-    """Factorization witness with roots classified against the circle."""
+    """Factorization witness: the zeros and poles, none on the circle."""
 
-    scale: GaussianRational
-    inner_zeros: Roots
-    outer_zeros: Roots
-    inner_poles: Roots
-    outer_poles: Roots
-
-    @property
-    def zeros(self) -> Roots:
-        return self.inner_zeros + self.outer_zeros
-
-    @property
-    def poles(self) -> Roots:
-        return self.inner_poles + self.outer_poles
+    zeros: Roots
+    poles: Roots
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,13 +61,10 @@ class RationalSymbol:
     den: Polynomial
     shift: int
     split: CircleSplit | None = field(default=None, compare=False)
+    expansion: LaurentExpansion | None = field(default=None, compare=False, repr=False)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def supports_coefficients(self) -> bool:
-        """True when exact Fourier coefficients are available."""
-        return self.is_zero() or self.den.is_constant() or self.split is not None
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -89,18 +77,11 @@ class RationalSymbol:
         return core
 
 
-def _sort_roots(roots) -> Roots:
-    return tuple(sorted(roots, key=lambda rm: (rm[0].re, rm[0].im, rm[1])))
-
-
-def _classify_roots(roots) -> tuple[Roots, Roots]:
-    inner, outer = [], []
-    for r, m in roots:
-        q = r.abs2()
-        if q == 1:
+def _circle_split(zeros, poles) -> CircleSplit:
+    for r, _ in zeros + poles:
+        if r.abs2() == 1:
             raise FactorOnCircle(f"factor root {r} lies on the unit circle")
-        (inner if q < 1 else outer).append((r, m))
-    return _sort_roots(inner), _sort_roots(outer)
+    return CircleSplit(tuple(zeros), tuple(poles))
 
 
 def _merge_roots(roots) -> dict[GaussianRational, int]:
@@ -172,22 +153,18 @@ def make_factored(scale: GaussianRational, shift: int, zeros, poles) -> Rational
             shift -= m
         else:
             clean_p.append((r, m))
-    iz, oz = _classify_roots(clean_z)
-    ip, op = _classify_roots(clean_p)
-    num = from_roots(scale, clean_z)
-    den = from_roots(ONE, clean_p)
-    split = CircleSplit(scale, iz, oz, ip, op)
-    return RationalSymbol(num, den, shift, split)
+    split = _circle_split(clean_z, clean_p)
+    return RationalSymbol(from_roots(scale, clean_z), from_roots(ONE, clean_p), shift, split)
 
 
-def _factor_roots(p: Polynomial) -> tuple[GaussianRational, list] | None:
-    """Full Gaussian-rational root factorization for degree <= 2, else None."""
+def _factor_roots(p: Polynomial) -> list | None:
+    """The Gaussian-rational roots of p for degree <= 2, else None."""
     d = p.degree
     if d == 0:
-        return p.coeffs[0], []
+        return []
     if d == 1:
         c0, c1 = p.coeffs
-        return c1, [(-(c0 / c1), 1)]
+        return [(-(c0 / c1), 1)]
     if d == 2:
         c0, c1, c2 = p.coeffs
         b = c1 / c2
@@ -200,24 +177,20 @@ def _factor_roots(p: Polynomial) -> tuple[GaussianRational, list] | None:
         r1 = (-b + root) / two
         r2 = (-b - root) / two
         if r1 == r2:
-            return c2, [(r1, 2)]
-        return c2, [(r1, 1), (r2, 1)]
+            return [(r1, 2)]
+        return [(r1, 1), (r2, 1)]
     return None
 
 
 def _try_split(num: Polynomial, den: Polynomial) -> CircleSplit | None:
-    fn = _factor_roots(num)
-    fd = _factor_roots(den)
-    if fn is None or fd is None:
+    zeros = _factor_roots(num)
+    poles = _factor_roots(den)
+    if zeros is None or poles is None:
         return None
-    scale_n, zeros = fn
-    _, poles = fd  # den is monic
     try:
-        iz, oz = _classify_roots(zeros)
-        ip, op = _classify_roots(poles)
+        return _circle_split(zeros, poles)
     except FactorOnCircle:
         return None
-    return CircleSplit(scale_n, iz, oz, ip, op)
 
 
 def _times(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -235,10 +208,10 @@ def sym_arith(f: RationalSymbol, g: RationalSymbol, op: str) -> RationalSymbol:
             return ZERO_SYMBOL
         if f.split is not None and g.split is not None:
             return make_factored(
-                f.split.scale * g.split.scale,
+                f.num.leading() * g.num.leading(),
                 f.shift + g.shift,
-                list(f.split.zeros) + list(g.split.zeros),
-                list(f.split.poles) + list(g.split.poles),
+                f.split.zeros + g.split.zeros,
+                f.split.poles + g.split.poles,
             )
         return make_symbol(_times(f.num, g.num), _times(f.den, g.den), f.shift + g.shift)
     if op not in ("add", "sub"):
@@ -258,9 +231,7 @@ def sym_scale(f: RationalSymbol, c: GaussianRational) -> RationalSymbol:
     if c.is_zero() or f.is_zero():
         return ZERO_SYMBOL
     if f.split is not None:
-        return make_factored(
-            f.split.scale * c, f.shift, list(f.split.zeros), list(f.split.poles)
-        )
+        return make_factored(f.num.leading() * c, f.shift, f.split.zeros, f.split.poles)
     return make_symbol(f.num.scale(c), f.den, f.shift)
 
 
@@ -270,9 +241,7 @@ def invert_symbol(f: RationalSymbol) -> RationalSymbol:
         raise ZeroSymbol("the zero symbol has no inverse")
     if f.split is None:
         raise MissingSplit(f"symbol {f} has no CircleSplit; its inverse is unavailable")
-    return make_factored(
-        f.split.scale.inv(), -f.shift, list(f.split.poles), list(f.split.zeros)
-    )
+    return make_factored(f.num.leading().inv(), -f.shift, f.split.poles, f.split.zeros)
 
 
 def sym_div(f: RationalSymbol, g: RationalSymbol) -> RationalSymbol:
@@ -332,9 +301,6 @@ class LaurentExpansion:
         return self.pos.value(n) if n >= 0 else self.neg.value(-1 - n)
 
 
-_EXPANSION_CACHE: dict = {}
-
-
 def symbol_poles(f: RationalSymbol) -> Roots:
     """The poles of f with multiplicities; needs a split or constant den."""
     if f.den.is_constant():
@@ -345,14 +311,10 @@ def symbol_poles(f: RationalSymbol) -> Roots:
 
 
 def laurent_expansion(f: RationalSymbol) -> LaurentExpansion:
-    """Exact coefficient stream of f; needs a split or constant den."""
-    key = (f.num.coeffs, f.den.coeffs, f.shift, f.split is not None)
-    hit = _EXPANSION_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = expand_rational(f.num, symbol_poles(f), f.shift)
-    _EXPANSION_CACHE[key] = out
-    return out
+    """Exact coefficient stream of f, kept on f; needs a split or constant den."""
+    if f.expansion is None:
+        object.__setattr__(f, "expansion", expand_rational(f.num, symbol_poles(f), f.shift))
+    return f.expansion
 
 
 def expand_rational(num: Polynomial, poles, shift: int) -> LaurentExpansion:

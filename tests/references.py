@@ -11,6 +11,9 @@ Products are kept in their expanded form: a composition as |F|·|G|
 outer products, and the correction of (T(f) + F)(T(g) + G) as four
 separate pieces.  The library forms both by their action, with one term
 per factor term, and the tests check that the operators are equal.
+
+When a product raises MissingSplit is kept as the rule the library once
+tested up front; the library now raises where a coefficient is read.
 """
 
 from __future__ import annotations
@@ -83,6 +86,21 @@ def product_correction_reference(
     if not g.is_zero() and F.terms:
         corr = corr + make_finite_rank([(u, toeplitz_apply_transpose(g, v)) for u, v in F.terms])
     return corr + compose_reference(F, G)
+
+
+def product_needs_split_reference(
+    f: RationalSymbol, F: FiniteRankOperator, g: RationalSymbol, G: FiniteRankOperator
+) -> bool:
+    """(T(f) + F)(T(g) + G) reads the coefficients of f when g or G is
+    nonzero, and those of g when f or F is nonzero; a symbol lacks them
+    when it is nonzero, has a nonconstant denominator and has no split."""
+
+    def lacks(s: RationalSymbol) -> bool:
+        return not s.is_zero() and not s.den.is_constant() and s.split is None
+
+    return (lacks(f) and (not g.is_zero() or bool(G.terms))) or (
+        lacks(g) and (not f.is_zero() or bool(F.terms))
+    )
 
 
 def _scalar(rng: random.Random, zero_share: float = 0.0) -> GaussianRational:

@@ -209,6 +209,15 @@ def test_scan_malformed_radius_exit_1(capsys, radii):
     assert out == "" and "malformed radius" in err and radii in err
 
 
+@pytest.mark.parametrize("suite", ["ideal", "welldefined"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(capsys, suite, trials):
+    # no trial would run, so no check would back a pass
+    code, out, err = run(capsys, "verify", "--suite", suite, "--trials", trials)
+    assert code == 1
+    assert out == "" and "--trials" in err and trials in err
+
+
 @pytest.mark.parametrize("arg, value", [
     ("--directions=-3", "-3"),
     ("--directions=100", "100"),

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from bfredholm.dsl import evaluate, parse
 from bfredholm.engine import analyze
 from bfredholm.errors import IndexOutOfRange, MissingSplit, SignatureMismatch
-from bfredholm.finiterank import fr_entry, fr_equal, fr_is_zero, outer, trace
+from bfredholm.finiterank import FR_ZERO, fr_entry, fr_equal, fr_is_zero, make_finite_rank, outer, trace
 from bfredholm.matrices import jordan_nilpotent, matrix
 from bfredholm.operators import (
     direct_sum,
@@ -21,6 +22,8 @@ from bfredholm.operators import (
     op_power,
     op_scale,
     quotient_equal,
+    _toeplitz_mul,
+    ToeplitzBlock,
     scalar_shift,
     toeplitz_apply,
     toeplitz_apply_transpose,
@@ -30,6 +33,7 @@ from bfredholm.poly import poly
 from bfredholm.scalars import gr
 from bfredholm.sequences import make_sequence, pairing, seq_basis, seq_finite, seq_geo
 from bfredholm.symbols import (
+    ZERO_SYMBOL,
     LaurentExpansion,
     fourier_coeff,
     invert_symbol,
@@ -40,7 +44,12 @@ from bfredholm.symbols import (
     sym_pow,
     winding_number,
 )
-from references import product_correction_reference, random_finite_rank, random_symbol
+from references import (
+    product_correction_reference,
+    product_needs_split_reference,
+    random_finite_rank,
+    random_symbol,
+)
 
 Z = make_symbol(poly([0, 1]), poly([1]))
 ZINV = invert_symbol(Z)
@@ -221,6 +230,31 @@ def test_missing_split_only_when_needed():
     zero = toeplitz_operator(make_symbol(poly([]), poly([1])))
     prod = op_arith(bad, zero, "mul")
     assert prod.blocks[0].symbol.is_zero()
+
+
+def test_missing_split_raised_exactly_when_a_product_reads_coefficients():
+    quartic = poly([1, 0, 0, 1, 1])  # z^4 + z^3 + 1
+    symbols = [
+        ZERO_SYMBOL,
+        F3,  # split
+        make_symbol(quartic, poly([1])),  # constant denominator
+        make_symbol(quartic, poly([-3, 0, 1])),  # no split: roots +-sqrt(3)
+    ]
+    assert symbols[3].split is None
+    corrections = [FR_ZERO, make_finite_rank([(seq_basis(1), seq_geo(HALF))])]
+    cases = list(itertools.product(symbols, corrections, symbols, corrections))
+    assert len(cases) == 64
+    raised = 0
+    for f, F, g, G in cases:
+        expected = product_needs_split_reference(f, F, g, G)
+        try:
+            _toeplitz_mul(ToeplitzBlock(f, F), ToeplitzBlock(g, G))
+        except MissingSplit:
+            assert expected, (str(f), len(F.terms), str(g), len(G.terms))
+            raised += 1
+        else:
+            assert not expected, (str(f), len(F.terms), str(g), len(G.terms))
+    assert raised == 24
 
 
 def test_scale_and_identity():

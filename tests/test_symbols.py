@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from bfredholm.errors import MissingSplit, ZeroOnCircle, ZeroSymbol
+from bfredholm import symbols
+from bfredholm.errors import FactorOnCircle, MissingSplit, ZeroOnCircle, ZeroSymbol
+from bfredholm.finiterank import make_finite_rank
+from bfredholm.operators import op_arith, op_entry, toeplitz_operator
 from bfredholm.poly import poly
 from bfredholm.scalars import gr
+from bfredholm.sequences import seq_basis, seq_geo
 from bfredholm.symbols import (
     fourier_coeff,
     invert_symbol,
@@ -123,3 +127,47 @@ def test_sym_pow_negative():
     f = sym_pow(F1, -2)
     prod = sym_arith(f, sym_arith(F1, F1, "mul"), "mul")
     assert sym_equal(prod, make_symbol(poly([1]), poly([1])))
+
+
+def test_split_rejects_a_root_on_the_circle():
+    with pytest.raises(FactorOnCircle):
+        make_factored(gr(1), 0, [(gr(1), 1)], [])  # zero at 1
+    with pytest.raises(FactorOnCircle):
+        make_factored(gr(1), 0, [], [(gr(0, 1), 1)])  # pole at i
+
+
+def test_split_is_the_merged_roots():
+    # equal roots merge, the root at 0 goes to the shift, the root at 3 cancels
+    half = gr(Fraction(1, 2))
+    f = make_factored(gr(2), 0, [(half, 2), (gr(0), 1), (half, 1), (gr(3), 1)], [(gr(3), 1)])
+    assert f.split.zeros == ((half, 3),)
+    assert f.split.poles == ()
+    assert f.shift == 1
+    assert f.num.leading() == gr(2)
+
+
+def test_symbol_keeps_its_expansion():
+    f = sym_arith(F3, F1, "mul")
+    assert laurent_expansion(f) is laurent_expansion(f)
+
+
+def test_entry_windows_expand_the_block_symbol_once(monkeypatch):
+    a = op_arith(
+        toeplitz_operator(F3, make_finite_rank([(seq_geo(gr(Fraction(1, 2))), seq_basis(0))])),
+        toeplitz_operator(invert_symbol(F1)),
+        "mul",
+    )
+    target = a.blocks[0].symbol
+    expanded = []
+    original = symbols.expand_rational
+
+    def counting(num, poles, shift):
+        expanded.append((num, shift))
+        return original(num, poles, shift)
+
+    monkeypatch.setattr(symbols, "expand_rational", counting)
+    for _ in range(2):
+        for i in range(12):
+            for j in range(12):
+                op_entry(a, 0, i, j)
+    assert expanded.count((target.num, target.shift)) <= 1

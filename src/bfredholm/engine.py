@@ -58,7 +58,6 @@ B_FREDHOLM = "BFredholm"
 NOT_IN_CLASS = "NotInClass"
 
 FREDHOLM_CLASSES = (INVERTIBLE_MOD_J, FREDHOLM)
-B_FREDHOLM_CLASSES = (INVERTIBLE_MOD_J, FREDHOLM, B_FREDHOLM)
 
 
 def classify(a: BlockOperator) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import IndexOutOfRange, SignatureMismatch
-from .finiterank import FR_ZERO, FiniteRankOperator, fr_entry, fr_is_zero, make_finite_rank
+from .finiterank import FR_ZERO, FiniteRankOperator, _entry_sum, fr_is_zero, make_finite_rank
 from .matrices import ExactMatrix, identity as mat_identity
 from .poly import P_ZERO, Polynomial, from_roots, poly
 from .scalars import GaussianRational, ONE, ZERO, gr
@@ -288,15 +288,51 @@ def op_power(a: BlockOperator, p: int) -> BlockOperator:
     return out
 
 
+class _BlockReads:
+    """What op_entry read from one Toeplitz block: u_k(i) per row i,
+    v_k(j) per column j and fhat(d) per diagonal d = i - j."""
+
+    __slots__ = ("block", "rows", "cols", "diagonals")
+
+    def __init__(self, block: ToeplitzBlock | None):
+        self.block = block
+        self.rows: dict[int, list] = {}
+        self.cols: dict[int, list] = {}
+        self.diagonals: dict[int, GaussianRational] = {}
+
+
+_last_reads = _BlockReads(None)
+
+
 def op_entry(a: BlockOperator, block_index: int, i: int, j: int) -> GaussianRational:
+    """Entry (i, j) of block ``block_index`` of a, exact.
+
+    Valid indices are 0 <= block_index < len(a.blocks) and i, j >= 0, and
+    on a matrix block also i < rows and j < cols; any other index raises
+    IndexOutOfRange.  A Toeplitz entry is fhat(i - j) + sum_k u_k(i) v_k(j);
+    reading fhat raises MissingSplit when the symbol needs a split it lacks.
+
+    Between calls, op_entry keeps the values it read from the last Toeplitz
+    block it was called on (by identity): u_k(i) per row i, v_k(j) per column
+    j and fhat(d) per diagonal d, so an n x n window reads each of them once.
+    A call on another block replaces them, so memory stays at one block's
+    reads.  Calls from several threads stay correct; a thread that races a
+    switch to another block at worst computes a value again.
+    """
+    global _last_reads
     if not 0 <= block_index < len(a.blocks):
         raise IndexOutOfRange(f"block {block_index} of {len(a.blocks)}")
     block = a.blocks[block_index]
     if isinstance(block, ToeplitzBlock):
-        corr = fr_entry(block.correction, i, j)  # raises on a negative index
+        reads = _last_reads
+        if reads.block is not block:
+            reads = _last_reads = _BlockReads(block)
+        corr = _entry_sum(block.correction, i, j, reads.rows, reads.cols)  # raises on a negative index
         if block.symbol.is_zero():
             return corr
-        base = fourier_coeff(block.symbol, i - j)
+        base = reads.diagonals.get(i - j)
+        if base is None:
+            base = reads.diagonals[i - j] = fourier_coeff(block.symbol, i - j)
         return base if corr.is_zero() else base + corr
     if not (0 <= i < block.m.rows and 0 <= j < block.m.cols):
         raise IndexOutOfRange(f"({i},{j}) outside {block.m.rows}x{block.m.cols} block")

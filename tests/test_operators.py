@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -9,8 +11,10 @@ from bfredholm.dsl import evaluate, parse
 from bfredholm.engine import analyze
 from bfredholm.errors import IndexOutOfRange, MissingSplit, SignatureMismatch
 from bfredholm.finiterank import FR_ZERO, fr_entry, fr_equal, fr_is_zero, make_finite_rank, outer, trace
+from bfredholm import operators
 from bfredholm.matrices import jordan_nilpotent, matrix
 from bfredholm.operators import (
+    MatrixBlock,
     direct_sum,
     embed_finite_rank,
     hankel_defect,
@@ -31,7 +35,7 @@ from bfredholm.operators import (
 )
 from bfredholm.poly import poly
 from bfredholm.scalars import gr
-from bfredholm.sequences import make_sequence, pairing, seq_basis, seq_finite, seq_geo
+from bfredholm.sequences import RationalSequence, make_sequence, pairing, seq_basis, seq_finite, seq_geo
 from bfredholm.symbols import (
     ZERO_SYMBOL,
     LaurentExpansion,
@@ -317,3 +321,130 @@ def test_p_fold_product_correction_grows_linearly():
     report = analyze(evaluate(parse(" * ".join([PFOLD_FACTOR] * 16))))
     assert time.perf_counter() - start < 2
     assert report.index_trace == report.index_winding == -16
+
+
+WINDOW_OPERATORS = [
+    # corrections on both factors of a product
+    "(T((z-1/2)/(z-3)) + FR{geo(1/2) | fin[1,2,3]}) * (T((z-2)/(z-1/3)) + FR{geo(1/3) | geo(-1/4)})",
+    # a matrix block between two Toeplitz blocks
+    "T(z-1/2) + FR{fin[1,0,2] | geo(1/3); e1 | fin[0,5]} (++) M[[1,2],[3,4]]"
+    " (++) T((z-2)/(z-1/4)) + FR{geo(-1/2; 1) | e0}",
+    # the zero symbol with a correction whose u vanishes at some rows
+    "T(0) + FR{fin[0,1,0,2] | fin[3,0,i]; geo(1/3) | fin[0,0,7]}",
+]
+
+
+def _entry_reference(a, block, i, j):
+    b = a.blocks[block]
+    if isinstance(b, MatrixBlock):
+        return b.m.at(i, j)
+    return fourier_coeff(b.symbol, i - j) + fr_entry(b.correction, i, j)
+
+
+def _window_orders(n, rng):
+    row_major = [(i, j) for i in range(n) for j in range(n)]
+    shuffled = list(row_major)
+    rng.shuffle(shuffled)
+    return [row_major, [(i, j) for j in range(n) for i in range(n)], row_major[::-1], shuffled]
+
+
+def test_window_reads_match_fresh_entries_in_every_order():
+    ops = [evaluate(parse(text)) for text in WINDOW_OPERATORS]
+    rng = random.Random(46)
+    n = 7
+    for op in ops:
+        for block, b in enumerate(op.blocks):
+            size = b.m.rows if isinstance(b, MatrixBlock) else n
+            for order in _window_orders(size, rng):
+                for i, j in order:
+                    assert op_entry(op, block, i, j) == _entry_reference(op, block, i, j), (block, i, j)
+    # two operators, then two blocks of one operator, read in turn
+    for (a, ba), (b, bb) in [((ops[0], 0), (ops[2], 0)), ((ops[1], 0), (ops[1], 2))]:
+        for (i, j), (k, m) in zip(*_window_orders(n, rng)[2:]):
+            assert op_entry(a, ba, i, j) == _entry_reference(a, ba, i, j), (ba, i, j)
+            assert op_entry(b, bb, k, m) == _entry_reference(b, bb, k, m), (bb, k, m)
+
+
+@pytest.mark.parametrize("i, j", [(0, -1), (-1, 0), (-1, -1), (-2, 3)])
+def test_negative_entry_index_raises_after_the_block_was_read(i, j):
+    a = evaluate(parse("T((z-1/2)/(z-3)) + FR{fin[1,2] | geo(1/2)} (++) M[[1,2],[3,4]]"))
+    for block in (0, 1):
+        op_entry(a, block, 0, 0)
+        with pytest.raises(IndexOutOfRange):
+            op_entry(a, block, i, j)
+    op_entry(a, 0, 0, 0)
+    with pytest.raises(IndexOutOfRange):
+        op_entry(a, 0, i, j)
+    assert op_entry(a, 0, 0, 1) == fourier_coeff(a.blocks[0].symbol, -1) + gr(Fraction(1, 2))
+
+
+def test_reading_another_block_drops_the_last_one():
+    a = evaluate(parse("T(z-1/2) + FR{geo(1/2) | e0} (++) T(z) + FR{e1 | e1}"))
+    first, second = a.blocks
+    unread = sys.getrefcount(first)
+    op_entry(a, 0, 2, 1)
+    assert operators._last_reads.block is first
+    assert sys.getrefcount(first) == unread + 1
+    op_entry(a, 1, 2, 1)
+    assert operators._last_reads.block is second
+    assert sys.getrefcount(first) == unread
+
+
+def test_a_window_reads_each_row_column_and_diagonal_once(monkeypatch):
+    op = evaluate(parse(WINDOW_OPERATORS[0]))
+    block = op.blocks[0]
+    terms = len(block.correction.terms)
+    value_reads, coeff_reads = [], []
+    value, coeff = RationalSequence.value, operators.fourier_coeff
+
+    def recording_value(self, k):
+        value_reads.append(k)
+        return value(self, k)
+
+    def recording_coeff(f, d):
+        coeff_reads.append(d)
+        return coeff(f, d)
+
+    monkeypatch.setattr(RationalSequence, "value", recording_value)
+    monkeypatch.setattr(operators, "fourier_coeff", recording_coeff)
+    n = 12
+    for i in range(n):
+        for j in range(n):
+            op_entry(op, 0, i, j)
+    assert sorted(coeff_reads) == list(range(1 - n, n))
+    # u_k(i) once per row, v_k(j) at most once per column, and one
+    # expansion value per diagonal
+    assert len(value_reads) <= 2 * n * terms + 2 * n - 1
+
+
+def test_window_reads_from_many_threads_agree():
+    ops = [evaluate(parse(text)) for text in WINDOW_OPERATORS]
+    blocks = [(op, b) for op in ops for b, blk in enumerate(op.blocks) if isinstance(blk, ToeplitzBlock)]
+    n = 6
+    want = [[[_entry_reference(op, b, i, j) for j in range(n)] for i in range(n)] for op, b in blocks]
+    errors = []
+
+    def read(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(60):
+                k = rng.randrange(len(blocks))
+                op, b = blocks[k]
+                for i, j in _window_orders(n, rng)[rng.randrange(4)]:
+                    if op_entry(op, b, i, j) != want[k][i][j]:
+                        errors.append((seed, k, i, j))
+        except Exception as exc:  # reported below; a thread cannot fail the test itself
+            errors.append((seed, repr(exc)))
+
+    threads = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -104,7 +104,6 @@ class DrazinWitness:
     inverse: BlockOperator
     quotient_index: int
     defects: tuple[BlockOperator, BlockOperator, BlockOperator]
-    matrix_indices: tuple[int, ...] = ()
 
     def defects_in_ideal(self) -> bool:
         return all(
@@ -128,7 +127,6 @@ def _drazin_witness(a: BlockOperator, matrix_mode: str) -> DrazinWitness:
         raise ValueError(f"unknown matrix_mode {matrix_mode!r}")
     blocks: list[Block] = []
     p = 0
-    matrix_indices = []
     for b in a.blocks:
         if isinstance(b, ToeplitzBlock):
             if b.symbol.is_zero():
@@ -138,7 +136,6 @@ def _drazin_witness(a: BlockOperator, matrix_mode: str) -> DrazinWitness:
                 blocks.append(ToeplitzBlock(invert_symbol(b.symbol), FR_ZERO))
         else:
             d, k = drazin(b.m)
-            matrix_indices.append(k)
             if matrix_mode == "zero":
                 nil = is_nilpotent(b.m)
                 blocks.append(MatrixBlock(mat_zeros(b.m.rows, b.m.rows)))
@@ -166,7 +163,7 @@ def _drazin_witness(a: BlockOperator, matrix_mode: str) -> DrazinWitness:
             d2.append(MatrixBlock(d * m * d - d))
             d3.append(MatrixBlock(mp * m * d - mp))
     defects = tuple(BlockOperator(tuple(d)) for d in (d1, d2, d3))
-    w = DrazinWitness(a0, p, defects, tuple(matrix_indices))
+    w = DrazinWitness(a0, p, defects)
     if not w.defects_in_ideal():
         raise OracleMismatch("a Drazin defect left the ideal; internal error")
     return w

@@ -2,28 +2,22 @@
 l2(N) direct-summed with finite matrix blocks.
 
 Products of Toeplitz blocks stay in class because the defect
-T(f)T(g) - T(fg) is finite rank for rational symbols; it is materialized
-eagerly as an explicit sum of outer products built from the symbols'
-exact Laurent expansions, so traces downstream remain exact.
+T(fg) - T(f)T(g) = H(f) H(g~), with g~(z) = g(1/z), is a product of two
+Hankel operators of finite rank for rational symbols (Boettcher and
+Silbermann, Prop. 2.14), built as exact outer products from the symbols'
+Laurent expansions, so traces downstream remain exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import IndexOutOfRange, SignatureMismatch
 from .finiterank import FR_ZERO, FiniteRankOperator, _entry_sum, fr_is_zero, make_finite_rank
 from .matrices import ExactMatrix, identity as mat_identity
-from .poly import P_ZERO, Polynomial, from_roots, poly
+from .poly import Polynomial, from_roots
 from .scalars import GaussianRational, ONE, ZERO, gr
-from .sequences import (
-    RationalSequence,
-    SEQ_ZERO,
-    make_sequence,
-    power_series_sum,
-    seq_finite,
-)
+from .sequences import RationalSequence, SEQ_ZERO, make_sequence
 from .symbols import (
     RationalSymbol,
     ZERO_SYMBOL,
@@ -78,69 +72,60 @@ def _apply_rational(num: Polynomial, poles, shift: int, x: RationalSequence) -> 
 
 
 # ---------------------------------------------------------------------------
-# Hankel-product defect.
+# Hankel operators and the Hankel-product defect.
 # ---------------------------------------------------------------------------
 
 
-def _split_shifted(p: Polynomial) -> list[Polynomial]:
-    """Polynomials g_e with p(i + m) = sum_e g_e(i) m^e."""
-    if p.is_zero():
-        return []
-    d = p.degree
-    out = [P_ZERO] * (d + 1)
-    for deg, c in enumerate(p.coeffs):
-        if c.is_zero():
-            continue
-        for e in range(deg + 1):
-            out[e] = out[e] + poly([0] * (deg - e) + [1]).scale(c * gr(comb(deg, e)))
-    return out
+def _hankel(a: RationalSequence) -> FiniteRankOperator:
+    """The Hankel operator with entries a(i + j): one term e_i (x) a.head[i:]
+    per head entry, and per tail p(n) r^n one term (p^(e)/e!)(i) r^i (x) i^e r^i
+    for e = 0..deg p, as p(i + j) = sum_e p^(e)(i)/e! j^e.  Head slices and
+    tail derivatives are canonical, so no factor goes through make_sequence."""
+    terms = [
+        (RationalSequence((ZERO,) * i + (ONE,), ()), RationalSequence(a.head[i:], ()))
+        for i in range(len(a.head))
+    ]
+    for r, p in a.tails:
+        for e in range(p.degree + 1):
+            geo = RationalSequence((), ((r, Polynomial((ZERO,) * e + (ONE,))),))
+            terms.append((RationalSequence((), ((r, p),)), geo))
+            p = p.derivative().scale(gr(e + 1).inv())
+    return FiniteRankOperator(tuple(terms))
 
 
-def _monomial(e: int) -> Polynomial:
-    return poly([0] * e + [1])
+def _hankel_product(a: RationalSequence, A: FiniteRankOperator, B: FiniteRankOperator, heads: int):
+    """A o B for A = _hankel(a): one term A u (x) v per term u (x) v of B.  The
+    first ``heads`` terms have u = e_j, and A e_j = a.drop(j).  Otherwise A u
+    is the action of A's tail terms plus H(h) u for a's head h of length L,
+    whose entry i is entry L - 1 - i of T(h reversed) u: one expansion, where
+    A's head terms would pair u with all L slices of h."""
+    A_tails, L, h = FiniteRankOperator(A.terms[len(a.head):]), len(a.head), Polynomial(a.head[::-1])
 
+    def act(u: RationalSequence) -> RationalSequence:
+        y = _apply_rational(h, [], 0, u) if L else SEQ_ZERO
+        return A_tails.apply(u) + make_sequence([y.value(L - 1 - i) for i in range(L)], [])
 
-def hankel_cross(a: RationalSequence, b: RationalSequence) -> FiniteRankOperator:
-    """Finite-rank operator with entries sum_{k>=0} a(i+k) b(j+k)."""
-    terms = []
-    ha, hb = a.head, b.head
-    for k in range(min(len(ha), len(hb))):
-        u = seq_finite(ha[k:])
-        v = seq_finite(hb[k:])
-        terms.append((u, v))
-    for sigma, q in b.tails:
-        for k in range(len(ha)):
-            u = seq_finite(ha[k:])
-            v = make_sequence([], [(sigma, q.taylor_shift(gr(k)).scale(sigma**k))])
-            terms.append((u, v))
-    for rho, p in a.tails:
-        for k in range(len(hb)):
-            u = make_sequence([], [(rho, p.taylor_shift(gr(k)).scale(rho**k))])
-            v = seq_finite(hb[k:])
-            terms.append((u, v))
-    for rho, p in a.tails:
-        alphas = _split_shifted(p)
-        for sigma, q in b.tails:
-            betas = _split_shifted(q)
-            # w[s] = sum_k k^s (rho*sigma)^k, once per power s
-            w = [power_series_sum(_monomial(s), rho * sigma) for s in range(len(alphas) + len(betas) - 1)]
-            for e, alpha in enumerate(alphas):
-                if alpha.is_zero():
-                    continue
-                v = P_ZERO
-                for fdeg, beta in enumerate(betas):
-                    v = v + beta.scale(w[e + fdeg])
-                terms.append((make_sequence([], [(rho, alpha)]), make_sequence([], [(sigma, v)])))
-    return make_finite_rank(terms)
+    return make_finite_rank(
+        [(a.drop(j), v) for j, (_, v) in enumerate(B.terms[:heads])]
+        + [(act(u), v) for u, v in B.terms[heads:]]
+    )
 
 
 def hankel_defect(f: RationalSymbol, g: RationalSymbol) -> FiniteRankOperator:
-    """H with T(f) T(g) = T(f g) - H; exact finite-rank representation."""
+    """H = H(f) H(g~) with T(f) T(g) = T(f g) - H, entries sum_k a(i+k) b(k+j)
+    for a(m) = fhat(m + 1) and b(m) = ghat(-1 - m).  Hankel matrices are
+    symmetric, so (B A)^T = A B: the shorter factor goes on the right, and
+    H has at most min(|A|, |B|) terms."""
     if f.is_zero() or g.is_zero():
         return FR_ZERO
-    a = laurent_expansion(f).pos.drop(1)  # a(m) = fhat(m + 1)
-    b = laurent_expansion(g).neg  # b(m) = ghat(-1 - m)
-    return hankel_cross(a, b)
+    a = laurent_expansion(f).pos.drop(1)
+    b = laurent_expansion(g).neg
+    if a.is_zero() or b.is_zero():
+        return FR_ZERO
+    A, B = _hankel(a), _hankel(b)
+    if len(B.terms) <= len(A.terms):
+        return _hankel_product(a, A, B, len(b.head))
+    return _hankel_product(b, B, A, len(a.head)).transpose()
 
 
 # ---------------------------------------------------------------------------

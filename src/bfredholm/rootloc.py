@@ -12,14 +12,15 @@ its content.  On |z| = 1, |p*| = |p|; so when |a0| != |an|, q vanishes at a
 point of the circle exactly when p does.  A run that reaches a nonzero
 constant therefore proves that p has no circle zeros, and a circle zero
 forces a degenerate step (|a0| = |an|) whose iterate has exactly the circle
-zeros of p.  Only that iterate goes to the fallback: z = -1 is tested by
-evaluation, the Cayley transform z = (1+it)/(1-it) maps the rest of the
-circle to the real line, and one Sturm chain of the real and imaginary
-parts of the image gives both their gcd (a common real root is a circle
-zero) and the Cauchy index of an exact argument-principle count.  Sturm
-chains are primitive pseudo-remainder sequences over Z (Collins 1967;
-Brown and Traub 1971), with positive multipliers so that every sign is
-kept.
+zeros of p.  If q vanishes there, the iterate is self-inversive and Cohn's
+rule decides it from its derivative.  Otherwise it goes to the fallback:
+z = -1 is tested by evaluation, the Cayley transform z = (1+it)/(1-it)
+maps the rest of the circle to the real line, and one Sturm chain of the
+real and imaginary parts of the image gives both their gcd (a common real
+root is a circle zero) and the Cauchy index of an exact argument-principle
+count.  Sturm chains are primitive pseudo-remainder sequences over Z
+(Collins 1967; Brown and Traub 1971), with positive multipliers so that
+every sign is kept.
 """
 
 from __future__ import annotations
@@ -141,28 +142,33 @@ def _winding_count(re: list[int], im: list[int]) -> int | None:
 
 def _locate(p: Polynomial) -> tuple[int, int | None]:
     """(m, k): m is the order of the zero of p at z = 0, and k the number of
-    its other zeros inside the disk, or None if p has a zero on the circle.
+    its other zeros inside the disk, or None if p has a zero on the circle."""
+    if p.is_zero():
+        raise ZeroPolynomial("root location of the zero polynomial")
+    m = p.order_at_zero()
+    return m, _inside(*_integer_form(p.coeffs[m:]))
+
+
+def _inside(re: list[int], im: list[int]) -> int | None:
+    """Zeros inside the disk of p, p(0) != 0, or None if p has a circle zero.
 
     The Schur-Cohn loop: q(0) = |a0|^2 - |an|^2 = delta != 0, and by Rouche
     q has the zeros of p inside the disk when delta > 0 and those of p*
     (n minus those of p) when delta < 0.  The count so far is
-    ``count + sign * (zeros of q)``.
+    ``count + sign * (zeros of q)``.  At a degenerate step (delta = 0), a
+    self-inversive p (q = 0) goes to _cohn and any other to _winding_count.
     """
-    if p.is_zero():
-        raise ZeroPolynomial("root location of the zero polynomial")
-    m = p.order_at_zero()
-    re, im = _integer_form(p.coeffs[m:])
     count, sign = 0, 1
     while len(re) > 1:
         n = len(re) - 1
         a, b, c, d = re[0], im[0], re[-1], im[-1]
-        delta = a * a + b * b - c * c - d * d
-        if delta == 0:
-            k = _winding_count(re, im)
-            return m, None if k is None else count + sign * k
         rev = list(zip(re[::-1], im[::-1]))
         qr = [a * x + b * y - c * u - d * v for x, y, (u, v) in zip(re[:-1], im[:-1], rev)]
         qi = [a * y - b * x - d * u + c * v for x, y, (u, v) in zip(re[:-1], im[:-1], rev)]
+        delta = a * a + b * b - c * c - d * d
+        if delta == 0:
+            k = _winding_count(re, im) if any(qr) or any(qi) else _cohn(re, im)
+            return None if k is None else count + sign * k
         while not qr[-1] and not qi[-1]:
             qr.pop()
             qi.pop()
@@ -170,7 +176,23 @@ def _locate(p: Polynomial) -> tuple[int, int | None]:
         re, im = [x // g for x in qr], [y // g for y in qi]
         if delta < 0:
             count, sign = count + sign * n, -sign
-    return m, count
+    return count
+
+
+def _cohn(re: list[int], im: list[int]) -> int | None:
+    """_inside for a self-inversive p of degree n (Cohn 1922; Marden, Geometry
+    of Polynomials, section 45).  Its zeros are symmetric in the circle, so
+    an odd n leaves one on it.  For even n, Re(z p'/p) = n/2 on the circle:
+    p has no circle zero exactly when p' has none and n/2 - 1 zeros inside,
+    and then p has n/2."""
+    n = len(re) - 1
+    if n % 2:
+        return None
+    dr = [k * x for k, x in enumerate(re)][1:]
+    di = [k * y for k, y in enumerate(im)][1:]
+    m = next(k for k in range(n) if dr[k] or di[k])  # the order of p' at 0
+    k = _inside(dr[m:], di[m:])
+    return n // 2 if k is not None and m + k == n // 2 - 1 else None
 
 
 def has_zero_on_circle(p: Polynomial) -> bool:

@@ -94,21 +94,19 @@ def make_sequence(head, tails) -> RationalSequence:
     for r, p in tails:
         if p.is_zero():
             continue
-        if r.is_zero():
+        a, b, d = r
+        if not (a or b):
             raise ExactError("tail ratio must be nonzero (fold into head)")
-        if r.abs2() >= 1:
+        if a * a + b * b >= d * d:
             raise ExactError(f"tail ratio {r} is not inside the unit circle")
         merged[r] = merged[r] + p if r in merged else p
-    clean = tuple(
-        sorted(
-            ((r, p) for r, p in merged.items() if not p.is_zero()),
-            key=lambda t: (t[0].re, t[0].im),
-        )
-    )
+    clean = [(r, p) for r, p in merged.items() if not p.is_zero()]
+    if len(clean) > 1:
+        clean.sort(key=lambda t: (t[0].re, t[0].im))
     hs = list(head)
     while hs and hs[-1].is_zero():
         hs.pop()
-    return RationalSequence(tuple(hs), clean)
+    return RationalSequence(tuple(hs), tuple(clean))
 
 
 SEQ_ZERO = make_sequence([], [])

@@ -475,7 +475,7 @@ def _bandwidth(node: OpNode) -> int:
     """Upper bound on how far entries of the expression reach off the
     window during truncated evaluation."""
     if isinstance(node, TAtom):
-        f = _sym_of(node)
+        f = eval_sym(node.sym)
         lo = f.shift
         hi = f.shift + f.num.degree
         return max(abs(lo), abs(hi))
@@ -490,15 +490,11 @@ def _bandwidth(node: OpNode) -> int:
     raise ExactError(f"not a window expression: {node!r}")
 
 
-def _sym_of(node: TAtom) -> RationalSymbol:
-    return eval_sym(node.sym)
-
-
 def _sp_truncate(node: OpNode, size: int) -> dict:
     """Evaluate the expression on exact size x size matrices stored as
     sparse {(i, j): scalar} dicts."""
     if isinstance(node, TAtom):
-        f = _sym_of(node)
+        f = eval_sym(node.sym)
         out = {}
         for d in range(f.shift, f.shift + f.num.degree + 1):
             c = fourier_coeff(f, d)

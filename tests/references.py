@@ -12,6 +12,11 @@ outer products, and the correction of (T(f) + F)(T(g) + G) as four
 separate pieces.  The library forms both by their action, with one term
 per factor term, and the tests check that the operators are equal.
 
+The Hankel defect is kept as the four-case double loop the library once
+used: entries sum_k a(i+k) b(j+k) written out head against head, head
+against tail and tail against tail.  The library forms it as a product
+of two Hankel operators.
+
 When a product raises MissingSplit is kept as the rule the library once
 tested up front; the library now raises where a coefficient is read.
 """
@@ -20,12 +25,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 from bfredholm.finiterank import FiniteRankOperator, make_finite_rank
 from bfredholm.operators import hankel_defect, toeplitz_apply, toeplitz_apply_transpose
-from bfredholm.poly import Polynomial, poly
+from bfredholm.poly import P_ZERO, Polynomial, poly
 from bfredholm.scalars import ZERO, GaussianRational, gr
-from bfredholm.sequences import RationalSequence, make_sequence, pairing, power_series_sum
+from bfredholm.sequences import RationalSequence, make_sequence, pairing, power_series_sum, seq_finite
 from bfredholm.symbols import ZERO_SYMBOL, RationalSymbol, make_factored, make_symbol
 
 
@@ -73,6 +79,49 @@ def compose_reference(F: FiniteRankOperator, G: FiniteRankOperator) -> FiniteRan
             c = pairing(v, up)
             if not c.is_zero():
                 terms.append((u.scale(c), vp))
+    return make_finite_rank(terms)
+
+
+def _split_shifted(p: Polynomial) -> list[Polynomial]:
+    """Polynomials g_e with p(i + m) = sum_e g_e(i) m^e."""
+    if p.is_zero():
+        return []
+    out = [P_ZERO] * (p.degree + 1)
+    for deg, c in enumerate(p.coeffs):
+        if c.is_zero():
+            continue
+        for e in range(deg + 1):
+            out[e] = out[e] + poly([0] * (deg - e) + [1]).scale(c * gr(comb(deg, e)))
+    return out
+
+
+def hankel_cross_reference(a: RationalSequence, b: RationalSequence) -> FiniteRankOperator:
+    """Finite-rank operator with entries sum_{k>=0} a(i+k) b(j+k)."""
+    terms = []
+    ha, hb = a.head, b.head
+    for k in range(min(len(ha), len(hb))):
+        terms.append((seq_finite(ha[k:]), seq_finite(hb[k:])))
+    for sigma, q in b.tails:
+        for k in range(len(ha)):
+            v = make_sequence([], [(sigma, q.taylor_shift(gr(k)).scale(sigma**k))])
+            terms.append((seq_finite(ha[k:]), v))
+    for rho, p in a.tails:
+        for k in range(len(hb)):
+            u = make_sequence([], [(rho, p.taylor_shift(gr(k)).scale(rho**k))])
+            terms.append((u, seq_finite(hb[k:])))
+    for rho, p in a.tails:
+        alphas = _split_shifted(p)
+        for sigma, q in b.tails:
+            betas = _split_shifted(q)
+            # w[s] = sum_k k^s (rho*sigma)^k, once per power s
+            w = [power_series_sum(poly([0] * s + [1]), rho * sigma) for s in range(len(alphas) + len(betas) - 1)]
+            for e, alpha in enumerate(alphas):
+                if alpha.is_zero():
+                    continue
+                v = P_ZERO
+                for fdeg, beta in enumerate(betas):
+                    v = v + beta.scale(w[e + fdeg])
+                terms.append((make_sequence([], [(rho, alpha)]), make_sequence([], [(sigma, v)])))
     return make_finite_rank(terms)
 
 

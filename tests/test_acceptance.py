@@ -190,6 +190,18 @@ def test_budget_index_of_degree_400_symbol(capsys):
         assert elapsed < 5.0, f"index of {expr} took {elapsed:.2f}s (budget 5s)"
 
 
+def test_budget_index_of_a_self_inversive_symbol(capsys):
+    # the first Schur-Cohn step is degenerate with q = 0; Cohn's rule
+    # continues on the derivative instead of building a degree-400 Cayley
+    # image
+    start = time.monotonic()
+    code = cli.main(["index", "T(z^400 - 5/2*z^200 + 1)"])
+    elapsed = time.monotonic() - start
+    out = capsys.readouterr().out
+    assert code == 0 and out.split()[0] == "-200", out
+    assert elapsed < 1.0, f"index of a self-inversive symbol took {elapsed:.2f}s (budget 1s)"
+
+
 def test_budget_dense_degree_80_disk_count():
     rng = random.Random(3)
     p = poly([gr(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(81)])

@@ -49,6 +49,7 @@ from bfredholm.symbols import (
     winding_number,
 )
 from references import (
+    hankel_cross_reference,
     product_correction_reference,
     product_needs_split_reference,
     random_finite_rank,
@@ -199,6 +200,60 @@ def test_hankel_defect_triple_poles_one_term_per_alpha():
                 for k in range(1, 120)
             )
             assert abs(approx - fr_entry(H, i, j).to_complex()) < 1e-12
+
+
+def test_hankel_defect_matches_the_four_case_reference():
+    rng = random.Random(17)
+    for _ in range(300):
+        f, g = random_symbol(rng), random_symbol(rng)
+        H = hankel_defect(f, g)
+        if f.is_zero() or g.is_zero():
+            assert H.terms == ()
+            continue
+        ref = hankel_cross_reference(laurent_expansion(f).pos.drop(1), laurent_expansion(g).neg)
+        assert fr_equal(H, ref), (f, g)
+        assert len(H.terms) <= len(ref.terms), (f, g)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        # a long head against a pole of order 4, and the reverse
+        ("T((z^2+z+3)^10)", "T(1/(z-1/2)^4)"),
+        ("T(1/(z-3)^4)", "T((z^-2+z^-1+5)^10)"),
+        # heads and tails on both sides
+        ("T(z^12 * (z-1/3)/(z-3)^2)", "T(z^-8 * (z-3)/(z-1/2)^2)"),
+    ],
+)
+def test_hankel_defect_with_long_heads_matches_the_reference(left, right):
+    f = evaluate(parse(left)).blocks[0].symbol
+    g = evaluate(parse(right)).blocks[0].symbol
+    ref = hankel_cross_reference(laurent_expansion(f).pos.drop(1), laurent_expansion(g).neg)
+    H = hankel_defect(f, g)
+    assert fr_equal(H, ref)
+    assert len(H.terms) <= len(ref.terms)
+
+
+def test_budget_long_head_times_a_high_order_pole():
+    # H(f) applied to each of the 16 tail terms of H(g~): the head of length
+    # 380 acts through one expansion per term, not 380 pairings
+    start = time.perf_counter()
+    P = evaluate(parse("T((z^2+z+3)^190) * T(1/(z-1/2)^16)"))
+    assert time.perf_counter() - start < 5
+    assert len(P.blocks[0].correction.terms) == 16
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        # H(z) has one term and H of the fifth-order pole five: the
+        # product takes the shorter factor on the right
+        ("T(z) * T(1/(z-1/2)^5)", 1),
+        ("(T((z-1/2)/(z-3)) + FR{geo(1/2) | e0}) * T(z^-2 * (z-1/3))", 2),
+    ],
+)
+def test_product_correction_term_counts(text, terms):
+    assert len(evaluate(parse(text)).blocks[0].correction.terms) == terms
 
 
 def test_block_operator_algebra():

@@ -64,18 +64,24 @@ def test_planted_roots(kind, degree, seed, monkeypatch):
     rng = random.Random(f"{kind}:{degree}:{seed}")
     roots = _planted(rng, degree, kind)
     p = _from_roots(rng, roots)
-    degenerate = []
-    winding_count = rootloc._winding_count
+    cohn, fallback = [], []
+    cohn_step, winding_count = rootloc._cohn, rootloc._winding_count
 
-    def counted(re, im):
-        degenerate.append(len(re) - 1)
+    def counted_cohn(re, im):
+        cohn.append(len(re) - 1)
+        return cohn_step(re, im)
+
+    def counted_fallback(re, im):
+        fallback.append(len(re) - 1)
         return winding_count(re, im)
 
-    monkeypatch.setattr(rootloc, "_winding_count", counted)
+    monkeypatch.setattr(rootloc, "_cohn", counted_cohn)
+    monkeypatch.setattr(rootloc, "_winding_count", counted_fallback)
     assert count_zeros_in_disk(p) == sum(1 for r in roots if r.abs2() < 1)
     if kind == "reciprocal" and degree % 2 == 0:
-        # the roots pair up with product of moduli 1, so |a0| = |an| at once
-        assert degenerate == [degree]
+        # the roots pair up with product of moduli 1, so p is self-inversive
+        # and Cohn's rule takes the first step, at full degree
+        assert cohn[:1] == [degree] and fallback == []
 
 
 @pytest.mark.parametrize("zeta, degree", zip(CIRCLE, (3, 8, 20, 40, 60, 30, 12)))
@@ -222,6 +228,11 @@ def test_cayley_image_only_at_a_degenerate_step(monkeypatch):
     for p, inside in ((dense, 40), (trinomial, 400), (planted, sum(1 for r in roots if r.abs2() < 1))):
         assert not has_zero_on_circle(p)
         assert count_zeros_in_disk(p) == inside
-    # |a0| = |an| at once: the fallback, and so the Cayley image, is reached
+    # |a0| = |an| at once with q = 0: Cohn's rule finds the circle zero
+    assert has_zero_on_circle(poly([-1, 1]))
+    # |a0| = |an| with q = -3iz: the fallback, and so the Cayley image, is
+    # reached (roots 2i and -i/2)
     with pytest.raises(AssertionError, match="Cayley image built"):
-        has_zero_on_circle(poly([-1, 1]))
+        count_zeros_in_disk(poly([1, gr(0, Fraction(-3, 2)), 1]))
+    monkeypatch.undo()
+    assert count_zeros_in_disk(poly([1, gr(0, Fraction(-3, 2)), 1])) == 1

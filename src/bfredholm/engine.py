@@ -37,10 +37,10 @@ from .operators import (
     op_arith,
     op_equal,
     op_power,
-    scalar_shift,
     toeplitz_operator,
 )
 from .poly import poly
+from .rootloc import count_zeros_in_disk, pencil_disk_counts
 from .scalars import GaussianRational, ZERO, gr
 from .sequences import seq_finite
 from .symbols import (
@@ -80,13 +80,14 @@ def _class_and_index(a: BlockOperator) -> tuple[str, int | None]:
             windings.append(winding_number(b.symbol))
         except ZeroOnCircle:
             return NOT_IN_CLASS, None
+    return _class_of(windings, has_zero_symbol)
+
+
+def _class_of(windings: list[int], has_zero_symbol: bool) -> tuple[str, int]:
+    """Class and index from the windings of the nonzero symbols."""
     if has_zero_symbol or not windings:
-        c = B_FREDHOLM
-    elif all(w == 0 for w in windings):
-        c = INVERTIBLE_MOD_J
-    else:
-        c = FREDHOLM
-    return c, -sum(windings)
+        return B_FREDHOLM, -sum(windings)
+    return (FREDHOLM if any(windings) else INVERTIBLE_MOD_J), -sum(windings)
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,10 +354,41 @@ class ScanReport:
     stable_radius: Fraction | None  # largest radius with all smaller samples Fredholm at the base index
 
 
+def _shifted_classes(a: BlockOperator, lams: list[GaussianRational]) -> list[tuple[str, int | None]]:
+    """_class_and_index(scalar_shift(a, lam)) for each lam, building nothing.
+
+    f = z^s*num/den gives f - lam = z^min(s,0)*P/den with the pencil
+    P = z^max(s,0)*num - lam*z^max(-s,0)*den, and gcd(P, den) = 1, so
+    wind(f - lam) = min(s,0) + Z(P) - Z(den), Z counting the zeros in the
+    disk, at 0 too.  P = 0 only where f is the constant lam: a zero symbol.
+    """
+    columns, zero_rows = [], set()
+    for b in a.blocks:
+        if not isinstance(b, ToeplitzBlock):
+            continue
+        f, s = b.symbol, b.symbol.shift
+        if s == 0 and f.num.is_constant() and f.den.is_constant():
+            zero_rows.update(j for j, lam in enumerate(lams) if lam == f.num.coeff(0))
+            columns.append([0] * len(lams))
+            continue
+        offset = min(s, 0) - (0 if f.den.is_constant() else count_zeros_in_disk(f.den))
+        counts = pencil_disk_counts(f.num.shift_degree(max(s, 0)), f.den.shift_degree(max(-s, 0)), lams)
+        columns.append([None if k is None else offset + k for k in counts])
+    samples = [[col[j] for col in columns] for j in range(len(lams))]
+    return [(NOT_IN_CLASS, None) if None in w else _class_of(w, j in zero_rows)
+            for j, w in enumerate(samples)]
+
+
 def punctured_scan(
     a: BlockOperator, radii: list[Fraction], directions: int = 8
 ) -> ScanReport:
-    """Classify a - lambda*e on a punctured grid around 0 (Thm 3.1 shape)."""
+    """Classify a - lambda*e on a punctured grid around 0 (Thm 3.1 shape).
+
+    A sample costs one Schur-Cohn run per Toeplitz block, on
+    z^max(s,0)*num - lambda*z^max(-s,0)*den; den is counted once per block.
+    Matrix blocks and corrections do not enter the class or the index: a
+    square matrix has index 0, and a finite-rank correction moves no index.
+    """
     radii = sorted(set(Fraction(x) for x in radii))
     if radii and radii[0] <= 0:
         raise BadScanGrid(f"scan radius {radii[0]} is not > 0")
@@ -365,20 +397,12 @@ def punctured_scan(
     base_c, base = _class_and_index(a)
     if base_c == NOT_IN_CLASS:
         raise NotBFredholm("base operator is not in class")
-    rows = []
-    for r in radii:
-        for d in SCAN_DIRECTIONS[:directions]:
-            lam = d * gr(r)
-            c, idx = _class_and_index(scalar_shift(a, lam))
-            rows.append(ScanRow(lam, r, c, idx))
-    stable = None
-    for r in sorted(set(row.radius for row in rows)):
-        group = [row for row in rows if row.radius <= r]
-        if all(row.classification in FREDHOLM_CLASSES and row.index == base for row in group):
-            stable = r
-        else:
-            break
-    return ScanReport(base_c, base, tuple(rows), stable)
+    grid = [(r, d * g) for r, g in zip(radii, map(gr, radii)) for d in SCAN_DIRECTIONS[:directions]]
+    classes = _shifted_classes(a, [lam for _, lam in grid])
+    rows = tuple(ScanRow(lam, r, c, idx) for (r, lam), (c, idx) in zip(grid, classes))
+    bad = [row.radius for row in rows if row.classification not in FREDHOLM_CLASSES or row.index != base]
+    stable = max((r for r in radii if not bad or r < bad[0]), default=None)  # rows ascend in radius
+    return ScanReport(base_c, base, rows, stable)
 
 
 def verify_log_law(
@@ -465,7 +489,6 @@ def nonstability_demo() -> list[dict]:
     """T(z-1) is not in class, yet arbitrarily small scalar shifts are
     Fredholm: the class of B-Fredholm operators is not open."""
     base = toeplitz_operator(make_symbol(poly([-1, 1]), poly([1])))
-    rows = []
     lams = [
         gr(0),
         gr(Fraction(1, 8)),
@@ -476,7 +499,5 @@ def nonstability_demo() -> list[dict]:
         gr(0, Fraction(-1, 16)),
         gr(Fraction(3, 40), Fraction(1, 10)),
     ]
-    for lam in lams:
-        c, idx = _class_and_index(scalar_shift(base, lam))
-        rows.append({"lambda": lam, "classification": c, "index": idx})
-    return rows
+    classes = _shifted_classes(base, lams)
+    return [{"lambda": lam, "classification": c, "index": idx} for lam, (c, idx) in zip(lams, classes)]

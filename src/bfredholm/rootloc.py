@@ -32,12 +32,9 @@ from .poly import Polynomial
 
 
 def _integer_form(coeffs) -> tuple[list[int], list[int]]:
-    """Real and imaginary parts of a primitive Gaussian-integer multiple."""
+    """Real and imaginary parts of a Gaussian-integer multiple, not primitive."""
     d = lcm(*(e for _, _, e in coeffs))
-    re = [a * (d // e) for a, _, e in coeffs]
-    im = [b * (d // e) for _, b, e in coeffs]
-    g = gcd(*re, *im)
-    return [a // g for a in re], [b // g for b in im]
+    return [a * (d // e) for a, _, e in coeffs], [b * (d // e) for _, b, e in coeffs]
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -140,13 +137,15 @@ def _winding_count(re: list[int], im: list[int]) -> int | None:
     return total // 2
 
 
-def _locate(p: Polynomial) -> tuple[int, int | None]:
-    """(m, k): m is the order of the zero of p at z = 0, and k the number of
-    its other zeros inside the disk, or None if p has a zero on the circle."""
-    if p.is_zero():
+def _locate(re: list[int], im: list[int]) -> tuple[int, int | None]:
+    """(m, k) for p = re + i*im over Z[i], trimmed, stripped of its zeros at
+    0 and made primitive here: m is the order of p at z = 0, and k the number
+    of its other zeros inside the disk, or None if p has a circle zero."""
+    support = [k for k, (a, b) in enumerate(zip(re, im)) if a or b]
+    if not support:
         raise ZeroPolynomial("root location of the zero polynomial")
-    m = p.order_at_zero()
-    return m, _inside(*_integer_form(p.coeffs[m:]))
+    m, n, g = support[0], support[-1] + 1, gcd(*re, *im)
+    return m, _inside([a // g for a in re[m:n]], [b // g for b in im[m:n]])
 
 
 def _inside(re: list[int], im: list[int]) -> int | None:
@@ -197,7 +196,7 @@ def _cohn(re: list[int], im: list[int]) -> int | None:
 
 def has_zero_on_circle(p: Polynomial) -> bool:
     """True iff p has a zero of modulus exactly 1; decided exactly."""
-    return _locate(p)[1] is None
+    return _locate(*_integer_form(p.coeffs))[1] is None
 
 
 def count_zeros_in_disk(p: Polynomial) -> int:
@@ -206,7 +205,25 @@ def count_zeros_in_disk(p: Polynomial) -> int:
     Raises ZeroOnCircle if a unit-modulus zero exists, ZeroPolynomial on
     the zero polynomial.
     """
-    m, k = _locate(p)
+    m, k = _locate(*_integer_form(p.coeffs))
     if k is None:
         raise ZeroOnCircle(f"{p} has a zero on the unit circle")
     return m + k
+
+
+def pencil_disk_counts(a: Polynomial, b: Polynomial, lams) -> list[int | None]:
+    """count_zeros_in_disk(a - lam*b) for each lam, or None where a - lam*b
+    has a circle zero; ZeroPolynomial if it is 0.  The denominators of a and
+    b are cleared together, once: with lam = (x + iy)/e, each member is the
+    Gaussian-integer polynomial e*A - (x + iy)*B."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    re, im = _integer_form([a.coeff(k) for k in range(n)] + [b.coeff(k) for k in range(n)])
+    ar, ai, br, bi = re[:n], im[:n], re[n:], im[n:]
+    out = []
+    for x, y, e in lams:
+        m, k = _locate(
+            [e * p - x * u + y * v for p, u, v in zip(ar, br, bi)],
+            [e * q - x * v - y * u for q, u, v in zip(ai, br, bi)],
+        )
+        out.append(None if k is None else m + k)
+    return out

@@ -19,6 +19,11 @@ of two Hankel operators.
 
 When a product raises MissingSplit is kept as the rule the library once
 tested up front; the library now raises where a coefficient is read.
+
+The punctured scan is kept as the loop the library once ran: a - lambda*e
+built as an operator for every sample and classified like the base, and
+the stable radius found by comparing every radius with every row.  The
+library locates the roots of one polynomial pencil per sample instead.
 """
 
 from __future__ import annotations
@@ -27,8 +32,15 @@ import random
 from fractions import Fraction
 from math import comb
 
+from bfredholm.engine import FREDHOLM_CLASSES, SCAN_DIRECTIONS, ScanReport, ScanRow, _class_and_index
 from bfredholm.finiterank import FiniteRankOperator, make_finite_rank
-from bfredholm.operators import hankel_defect, toeplitz_apply, toeplitz_apply_transpose
+from bfredholm.operators import (
+    BlockOperator,
+    hankel_defect,
+    scalar_shift,
+    toeplitz_apply,
+    toeplitz_apply_transpose,
+)
 from bfredholm.poly import P_ZERO, Polynomial, poly
 from bfredholm.scalars import ZERO, GaussianRational, gr
 from bfredholm.sequences import RationalSequence, make_sequence, pairing, power_series_sum, seq_finite
@@ -150,6 +162,26 @@ def product_needs_split_reference(
     return (lacks(f) and (not g.is_zero() or bool(G.terms))) or (
         lacks(g) and (not f.is_zero() or bool(F.terms))
     )
+
+
+def punctured_scan_reference(a: BlockOperator, radii: list[Fraction], directions: int = 8) -> ScanReport:
+    """punctured_scan on a valid grid and an operator in class."""
+    radii = sorted(set(Fraction(x) for x in radii))
+    base_c, base = _class_and_index(a)
+    rows = []
+    for r in radii:
+        for d in SCAN_DIRECTIONS[:directions]:
+            lam = d * gr(r)
+            c, idx = _class_and_index(scalar_shift(a, lam))
+            rows.append(ScanRow(lam, r, c, idx))
+    stable = None
+    for r in sorted(set(row.radius for row in rows)):
+        group = [row for row in rows if row.radius <= r]
+        if all(row.classification in FREDHOLM_CLASSES and row.index == base for row in group):
+            stable = r
+        else:
+            break
+    return ScanReport(base_c, base, tuple(rows), stable)
 
 
 def _scalar(rng: random.Random, zero_share: float = 0.0) -> GaussianRational:

@@ -211,3 +211,17 @@ def test_budget_dense_degree_80_disk_count():
     # numpy's root moduli give 40 inside, none within 1e-4 of the circle
     assert inside == 40
     assert elapsed < 5.0, f"degree-80 disk count took {elapsed:.2f}s (budget 5s)"
+
+
+def test_budget_scan_of_a_dense_degree_40_symbol(capsys):
+    # each sample is one Schur-Cohn run on num - lambda*den; no symbol, and
+    # so no degree-40 gcd of num - lambda*den with den, is formed per sample
+    rng = random.Random(40)
+    terms = [f"({rng.randint(-5, 5)}/{rng.randint(1, 4)} + {rng.randint(-5, 5)}/{rng.randint(1, 4)}*i)*z^{k}" for k in range(41)]
+    expr = f"T(({' + '.join(terms)})/(z^40 + 1/7*z + 1/9))"
+    start = time.monotonic()
+    code = cli.main(["scan", expr])
+    elapsed = time.monotonic() - start
+    out = capsys.readouterr().out
+    assert code == 0 and len(out.split()) == 25, out
+    assert elapsed < 5.0, f"scan of a dense degree-40 symbol took {elapsed:.2f}s (budget 5s)"

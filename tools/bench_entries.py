@@ -1,4 +1,4 @@
-"""Time exact entry reads: the op_entry layer and the commands built on it.
+"""Time exact entry reads and punctured scans, and the commands built on them.
 
 Usage:
 
@@ -16,9 +16,14 @@ change) are timed under the same load:
 - ``verify_windows_s``: ``bfredholm verify --suite windows``;
 - ``entries_200_s``: ``bfredholm entries PRODUCT --rows 200 --cols 200``,
   with the SHA-256 of its output so that outputs can be compared;
+- ``scan_readme_s``: the README's ``bfredholm scan "T(z - 1/2)" --radii
+  1/8,1/16 --format csv``;
+- ``scan_dense40_s``: ``bfredholm scan DENSE_40``, a dense degree-40
+  numerator over ``z^40 + 1/7*z + 1/9``, with its output's SHA-256;
+- ``verify_punctured_s``: ``bfredholm verify --suite punctured``;
 - ``cold_start_s``: ``import bfredholm.cli`` in a new interpreter.
 
-The last three include process start and follow one untimed run per side
+All but the first include process start and follow one untimed run per side
 that writes bytecode caches.  Each measurement is taken ``--repeat`` times
 per side; the result keeps every sample and their median, as JSON on
 standard output or in the ``--out`` file.
@@ -31,6 +36,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -42,6 +48,16 @@ PRODUCT = (
     " * (T((z-2)/(z-1/3)) + FR{geo(1/3) | geo(-1/4)})"
 )
 WINDOW_SIDES = (8, 16, 32)
+
+
+def _dense_40() -> str:
+    """The symbol of the scan budget test in tests/test_acceptance.py."""
+    rng = random.Random(40)
+    terms = [f"({rng.randint(-5, 5)}/{rng.randint(1, 4)} + {rng.randint(-5, 5)}/{rng.randint(1, 4)}*i)*z^{k}" for k in range(41)]
+    return f"T(({' + '.join(terms)})/(z^40 + 1/7*z + 1/9))"
+
+
+DENSE_40 = _dense_40()
 
 WINDOW_TIMER = """
 import json, sys, time
@@ -102,6 +118,9 @@ def measure(sides: dict[str, Path], repeat: int) -> dict:
     timed = {
         "verify_windows_s": _timed(sides, cli + ["verify", "--suite", "windows"], repeat),
         "entries_200_s": _timed(sides, cli + ["entries", PRODUCT, "--rows", "200", "--cols", "200"], repeat),
+        "scan_readme_s": _timed(sides, cli + ["scan", "T(z - 1/2)", "--radii", "1/8,1/16", "--format", "csv"], repeat),
+        "scan_dense40_s": _timed(sides, cli + ["scan", DENSE_40], repeat),
+        "verify_punctured_s": _timed(sides, cli + ["verify", "--suite", "punctured"], repeat),
         "cold_start_s": _timed(sides, ["-c", "import bfredholm.cli"], repeat),
     }
     return {
@@ -133,6 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "product": PRODUCT,
+        "dense_40": DENSE_40,
         "repeat": args.repeat,
         "sides": measure(sides, args.repeat),
     }

@@ -5,13 +5,16 @@ Exit codes: 0 success; 1 parse or usage error; 2 precondition failure
 one of the input budgets); 3 internal
 consistency failure (non-integer trace, oracle disagreement).  All
 scalars in output are exact fraction strings; no floating point is ever
-printed.
+printed.  A reader that closes standard output early (``| head``) cuts
+the output short without an error; the exit code is still the command's
+own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -308,7 +311,13 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe early.  Point stdout at devnull so
+            # that the interpreter's final flush does not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -722,7 +722,10 @@ def check_signature(node: OpNode) -> tuple:
 
 def _check_symbol(f: RationalSymbol, times: int = 1) -> None:
     """Raise BudgetExceeded if f**times would be over a symbol budget."""
-    degree = (f.num.degree + f.den.degree) * times
+    if f.split is None:
+        degree = (f.num.degree + f.den.degree) * times
+    else:
+        degree = sum(m for _, m in f.split.zeros + f.split.poles) * times
     size = degree + abs(f.shift) * times
     if size > MAX_SYMBOL_DEGREE:
         raise BudgetExceeded("symbol degree", size, "MAX_SYMBOL_DEGREE", MAX_SYMBOL_DEGREE)

@@ -1,34 +1,59 @@
 """Univariate polynomials over Q(i).
 
-Coefficients are stored lowest degree first; the zero polynomial is the
-empty coefficient tuple.
+A polynomial is the tuple ``coeffs`` of its coefficients, lowest degree
+first, trimmed so that the top coefficient is nonzero; the zero
+polynomial is the empty tuple.  Trimmed coefficients are canonical, so
+``==`` and ``hash`` of the tuple are equality of polynomials.  A
+``Polynomial`` is a slotted class whose constructor trims; it cannot be
+assigned to after construction.
+
+``from_roots`` expands scale * prod (z - r)^m by synthetic multiplication
+over the Gaussian integers: the running product is kept as integer real
+and imaginary parts over one common denominator, and each coefficient is
+reduced once at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ZeroPolynomial
-from .scalars import GaussianRational, ZERO, ONE, gr
+from .scalars import GaussianRational, ZERO, ONE, _reduced, gr
 
 
-def _trim(coeffs: Iterable[GaussianRational]) -> tuple[GaussianRational, ...]:
-    cs = list(coeffs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return tuple(cs)
-
-
-@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Polynomial over Q(i); ``coeffs[k]`` multiplies z^k."""
 
-    coeffs: tuple[GaussianRational, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+    def __init__(self, coeffs: tuple[GaussianRational, ...]):
+        if coeffs and not (coeffs[-1][0] or coeffs[-1][1]):
+            cs = list(coeffs)
+            while cs and not (cs[-1][0] or cs[-1][1]):
+                cs.pop()
+            coeffs = tuple(cs)
+        _set_coeffs(self, coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Polynomial is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Polynomial is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Polynomial:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __reduce__(self):
+        return Polynomial, (self.coeffs,)
+
+    def __repr__(self) -> str:
+        return f"Polynomial(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
@@ -145,6 +170,8 @@ class Polynomial:
         return " + ".join(parts)
 
 
+_set_coeffs = Polynomial.coeffs.__set__
+
 P_ZERO = Polynomial(())
 P_ONE = Polynomial((ONE,))
 
@@ -183,13 +210,29 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def from_roots(scale: GaussianRational, roots: Sequence[tuple[GaussianRational, int]]) -> Polynomial:
-    """scale * prod (z - r)^m."""
-    out = Polynomial((scale,))
-    for r, m in roots:
-        factor = Polynomial((-r, ONE))
+    """scale * prod (z - r)^m.
+
+    With scale = (a + b*i)/e, the product is held as Gaussian-integer
+    coefficients over one denominator D = e; each factor
+    z - (x + y*i)/d = (d*z - (x + y*i))/d multiplies them in place and D
+    by d.
+    """
+    if not roots:
+        return Polynomial((scale,))
+    a, b, D = scale
+    re, im = [a], [b]
+    for (x, y, d), m in roots:
         for _ in range(m):
-            out = out * factor
-    return out
+            re.append(0)
+            im.append(0)
+            for k in range(len(re) - 1, 0, -1):
+                p, q = re[k], im[k]
+                re[k] = d * re[k - 1] - x * p + y * q
+                im[k] = d * im[k - 1] - x * q - y * p
+            p, q = re[0], im[0]
+            re[0], im[0] = y * q - x * p, -x * q - y * p
+            D *= d
+    return Polynomial(tuple(_reduced(p, q, D) for p, q in zip(re, im)))
 
 
 def binom_poly(k: int) -> Polynomial:

@@ -12,11 +12,18 @@ Fourier coefficients and inverse symbols exactly computable; winding
 numbers never need it.  Which side of the circle a root lies on is read
 where it is used, by the partial fractions of the expansion.  A symbol
 computes its Laurent expansion on the first read and keeps it.
+
+A split symbol made by make_factored (products, scalings, inverses and
+powers of split symbols) holds its leading coefficient and its split,
+and builds num and den from the roots when they are first read; it then
+keeps them.  The difference of two split symbols is decided on their
+roots: it is zero exactly when lead, shift, zeros and poles agree with
+multiplicity, and otherwise it is formed from num and den.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     FactorOnCircle,
@@ -55,16 +62,50 @@ class CircleSplit:
     poles: Roots
 
 
-@dataclass(frozen=True, slots=True)
 class RationalSymbol:
-    num: Polynomial
-    den: Polynomial
-    shift: int
-    split: CircleSplit | None = field(default=None, compare=False)
-    expansion: LaurentExpansion | None = field(default=None, compare=False, repr=False)
+    """f = z^shift * num / den, with ``lead`` the leading coefficient of num.
+
+    A symbol built from num and den holds them.  A symbol built by
+    make_factored holds only its lead and split, and builds num and den
+    from the roots when they are first read; it keeps them, as it keeps
+    its expansion.  No other field changes after construction.  Equality
+    and hash are those of (num, den, shift).
+    """
+
+    __slots__ = ("_num", "_den", "shift", "split", "lead", "expansion")
+
+    def __init__(self, num: Polynomial | None, den: Polynomial | None, shift: int,
+                 split: CircleSplit | None = None, lead: GaussianRational | None = None):
+        if num is not None:
+            lead = num.coeffs[-1] if num.coeffs else ZERO
+        self._num, self._den, self.shift, self.split, self.lead = num, den, shift, split, lead
+        self.expansion = None
+
+    @property
+    def num(self) -> Polynomial:
+        if self._num is None:
+            self._num = from_roots(self.lead, self.split.zeros)
+        return self._num
+
+    @property
+    def den(self) -> Polynomial:
+        if self._den is None:
+            self._den = from_roots(ONE, self.split.poles)
+        return self._den
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self.lead.is_zero()
+
+    def __eq__(self, other):
+        if other.__class__ is not RationalSymbol:
+            return NotImplemented
+        return self.shift == other.shift and self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den, self.shift))
+
+    def __repr__(self) -> str:
+        return f"RationalSymbol(num={self.num!r}, den={self.den!r}, shift={self.shift!r}, split={self.split!r})"
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -153,8 +194,7 @@ def make_factored(scale: GaussianRational, shift: int, zeros, poles) -> Rational
             shift -= m
         else:
             clean_p.append((r, m))
-    split = _circle_split(clean_z, clean_p)
-    return RationalSymbol(from_roots(scale, clean_z), from_roots(ONE, clean_p), shift, split)
+    return RationalSymbol(None, None, shift, _circle_split(clean_z, clean_p), scale)
 
 
 def _factor_roots(p: Polynomial) -> list | None:
@@ -208,7 +248,7 @@ def sym_arith(f: RationalSymbol, g: RationalSymbol, op: str) -> RationalSymbol:
             return ZERO_SYMBOL
         if f.split is not None and g.split is not None:
             return make_factored(
-                f.num.leading() * g.num.leading(),
+                f.lead * g.lead,
                 f.shift + g.shift,
                 f.split.zeros + g.split.zeros,
                 f.split.poles + g.split.poles,
@@ -220,6 +260,8 @@ def sym_arith(f: RationalSymbol, g: RationalSymbol, op: str) -> RationalSymbol:
         return f
     if f.is_zero():
         return g if op == "add" else sym_scale(g, gr(-1))
+    if op == "sub" and f.split is not None and g.split is not None and _same_factors(f, g):
+        return ZERO_SYMBOL
     m = min(f.shift, g.shift)
     left = _times(f.num, g.den).shift_degree(f.shift - m)
     right = _times(g.num, f.den).shift_degree(g.shift - m)
@@ -227,11 +269,25 @@ def sym_arith(f: RationalSymbol, g: RationalSymbol, op: str) -> RationalSymbol:
     return make_symbol(combined, _times(f.den, g.den), m)
 
 
+def _same_factors(f: RationalSymbol, g: RationalSymbol) -> bool:
+    """f == g for split symbols, read from the roots.
+
+    make_factored cancels common roots and folds zeros at 0 into the
+    shift, and a split lists each root once, so equal functions have
+    equal lead, shift and root multiplicities.
+    """
+    fs, gs = f.split, g.split
+    return (
+        f.lead == g.lead and f.shift == g.shift
+        and dict(fs.zeros) == dict(gs.zeros) and dict(fs.poles) == dict(gs.poles)
+    )
+
+
 def sym_scale(f: RationalSymbol, c: GaussianRational) -> RationalSymbol:
     if c.is_zero() or f.is_zero():
         return ZERO_SYMBOL
     if f.split is not None:
-        return make_factored(f.num.leading() * c, f.shift, f.split.zeros, f.split.poles)
+        return make_factored(f.lead * c, f.shift, f.split.zeros, f.split.poles)
     return make_symbol(f.num.scale(c), f.den, f.shift)
 
 
@@ -241,7 +297,7 @@ def invert_symbol(f: RationalSymbol) -> RationalSymbol:
         raise ZeroSymbol("the zero symbol has no inverse")
     if f.split is None:
         raise MissingSplit(f"symbol {f} has no CircleSplit; its inverse is unavailable")
-    return make_factored(f.num.leading().inv(), -f.shift, f.split.poles, f.split.zeros)
+    return make_factored(f.lead.inv(), -f.shift, f.split.poles, f.split.zeros)
 
 
 def sym_div(f: RationalSymbol, g: RationalSymbol) -> RationalSymbol:
@@ -313,7 +369,7 @@ def symbol_poles(f: RationalSymbol) -> Roots:
 def laurent_expansion(f: RationalSymbol) -> LaurentExpansion:
     """Exact coefficient stream of f, kept on f; needs a split or constant den."""
     if f.expansion is None:
-        object.__setattr__(f, "expansion", expand_rational(f.num, symbol_poles(f), f.shift))
+        f.expansion = expand_rational(f.num, symbol_poles(f), f.shift)
     return f.expansion
 
 
@@ -328,12 +384,24 @@ def expand_rational(num: Polynomial, poles, shift: int) -> LaurentExpansion:
     if shift > 0:
         num, shift = num.shift_degree(shift), 0
     merged = _merge_roots(poles)
-    quot, rem = poly_divmod(num, from_roots(ONE, list(merged.items())))
+    if num.degree < sum(merged.values()):
+        quot, rem = P_ZERO, num
+    else:
+        quot, rem = poly_divmod(num, from_roots(ONE, list(merged.items())))
     pos_tails = []
     neg_tails = []
     for p, m in merged.items():
         residues = _residues_at(rem, merged, p, m)
-        if p.abs2() > 1:
+        if not residues:
+            continue
+        if m == 1:
+            # 1/(z-p) = -sum_n p^(-1-n) z^n outside, sum_u p^u z^(-1-u) inside
+            c = residues[0][1]
+            if p.abs2() > 1:
+                pos_tails.append((p.inv(), Polynomial((-(c / p),))))
+            else:
+                neg_tails.append((p, Polynomial((c,))))
+        elif p.abs2() > 1:
             # 1/(z-p)^k = sum_n (-1)^k C(n+k-1, k-1) p^(-k-n) z^n
             acc = P_ZERO
             for k, c in residues:

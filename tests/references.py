@@ -24,6 +24,14 @@ The punctured scan is kept as the loop the library once ran: a - lambda*e
 built as an operator for every sample and classified like the base, and
 the stable radius found by comparing every radius with every row.  The
 library locates the roots of one polynomial pencil per sample instead.
+
+A polynomial from its roots is kept as the loop of products by one
+linear factor (z - r) at a time, and the Laurent expansion of a rational
+function as the partial fractions the library once ran: always dividing
+num by the full pole product, and every tail, simple poles included,
+written through the binomial polynomials.  The library multiplies out
+the roots over the Gaussian integers, skips the division when num is
+already proper, and writes a simple-pole tail directly.
 """
 
 from __future__ import annotations
@@ -41,10 +49,25 @@ from bfredholm.operators import (
     toeplitz_apply,
     toeplitz_apply_transpose,
 )
-from bfredholm.poly import P_ZERO, Polynomial, poly
-from bfredholm.scalars import ZERO, GaussianRational, gr
-from bfredholm.sequences import RationalSequence, make_sequence, pairing, power_series_sum, seq_finite
-from bfredholm.symbols import ZERO_SYMBOL, RationalSymbol, make_factored, make_symbol
+from bfredholm.poly import P_ZERO, Polynomial, binom_poly, poly, poly_divmod, rising_binom_poly
+from bfredholm.scalars import ONE, ZERO, GaussianRational, gr
+from bfredholm.sequences import (
+    SEQ_ZERO,
+    RationalSequence,
+    make_sequence,
+    pairing,
+    power_series_sum,
+    seq_finite,
+)
+from bfredholm.symbols import (
+    ZERO_SYMBOL,
+    LaurentExpansion,
+    RationalSymbol,
+    _merge_roots,
+    _residues_at,
+    make_factored,
+    make_symbol,
+)
 
 
 def eval_reference(p: Polynomial, x: GaussianRational) -> GaussianRational:
@@ -92,6 +115,57 @@ def compose_reference(F: FiniteRankOperator, G: FiniteRankOperator) -> FiniteRan
             if not c.is_zero():
                 terms.append((u.scale(c), vp))
     return make_finite_rank(terms)
+
+
+def from_roots_reference(scale: GaussianRational, roots) -> Polynomial:
+    """scale * prod (z - r)^m, one linear factor at a time."""
+    out = Polynomial((scale,))
+    for r, m in roots:
+        factor = Polynomial((-r, ONE))
+        for _ in range(m):
+            out = out * factor
+    return out
+
+
+def expand_rational_reference(num: Polynomial, poles, shift: int) -> LaurentExpansion:
+    """Laurent expansion of z^shift * num / prod (z-p)^m on the annulus of the circle."""
+    if num.is_zero():
+        return LaurentExpansion(SEQ_ZERO, SEQ_ZERO)
+    if shift > 0:
+        num, shift = num.shift_degree(shift), 0
+    merged = _merge_roots(poles)
+    quot, rem = poly_divmod(num, from_roots_reference(ONE, list(merged.items())))
+    pos_tails = []
+    neg_tails = []
+    for p, m in merged.items():
+        residues = _residues_at(rem, merged, p, m)
+        acc = P_ZERO
+        if p.abs2() > 1:
+            for k, c in residues:
+                sign = gr(-1) if k % 2 else gr(1)
+                acc = acc + rising_binom_poly(k - 1).scale(c * sign * p**-k)
+            pos_tails.append((p.inv(), acc))
+        else:
+            for k, c in residues:
+                acc = acc + binom_poly(k - 1).scale(c * p ** (1 - k))
+            neg_tails.append((p, acc))
+    pos = make_sequence(quot.coeffs, pos_tails)
+    neg = make_sequence([], neg_tails)
+    if shift == 0:
+        return LaurentExpansion(pos, neg)
+    s = -shift
+    head = [pos.value(s - 1 - u) for u in range(s)]
+    return LaurentExpansion(pos.drop(s), neg.shift_up(s) + seq_finite(head))
+
+
+def eager_reference(f: RationalSymbol, split: bool = True) -> RationalSymbol:
+    """f with num and den built up front from its split, by from_roots_reference;
+    without its split when ``split`` is false."""
+    if f.split is None:
+        return RationalSymbol(f.num, f.den, f.shift, f.split if split else None)
+    num = from_roots_reference(f.lead, f.split.zeros)
+    den = from_roots_reference(ONE, f.split.poles)
+    return RationalSymbol(num, den, f.shift, f.split if split else None)
 
 
 def _split_shifted(p: Polynomial) -> list[Polynomial]:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import bfredholm
 from bfredholm.cli import main
 from bfredholm.dsl import MAX_HEIGHT
 
@@ -273,3 +278,18 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["index"] == -1
+
+
+def test_reader_closing_the_pipe_early_is_no_error():
+    # 200 x 200 entries is far more than a pipe buffer holds, so the write
+    # meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(bfredholm.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bfredholm.cli", "entries", "T((z-1/2)/(z-3))", "--rows", "200", "--cols", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(100).startswith(b"1/6,0,0")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err and b"BrokenPipe" not in err, err.decode()

@@ -1,4 +1,4 @@
-"""Time exact entry reads and punctured scans, and the commands built on them.
+"""Time exact entry reads, punctured scans, split-symbol analysis and the commands built on them.
 
 Usage:
 
@@ -21,9 +21,21 @@ change) are timed under the same load:
 - ``scan_dense40_s``: ``bfredholm scan DENSE_40``, a dense degree-40
   numerator over ``z^40 + 1/7*z + 1/9``, with its output's SHA-256;
 - ``verify_punctured_s``: ``bfredholm verify --suite punctured``;
+- ``analyze_split_ms``: parse, evaluate and ``analyze`` of each operator of
+  ``SPLIT_OPERATORS``, a fixed seeded list of products and sums of split
+  symbols, in process; the mean per operator over one pass, after a pass
+  that warms the interpreter up;
+- ``layers``: from the same process, in-process time per call of
+  ``from_roots`` (``from_roots_us``, on the roots of those operators'
+  symbols), ``Polynomial(...)`` of three coefficients
+  (``polynomial_us``), ``laurent_expansion`` of a fresh split symbol
+  (``laurent_expansion_us``), and ``_drazin_witness`` and ``index_trace``
+  per operator (``drazin_witness_ms``, ``index_trace_ms``);
+- ``index_split16_s``: ``bfredholm index "T((z-1/2)^16/(z-3)^16)"``;
 - ``cold_start_s``: ``import bfredholm.cli`` in a new interpreter.
 
-All but the first include process start and follow one untimed run per side
+``op_entry_window_ms``, ``analyze_split_ms`` and ``layers`` are in-process;
+the other timings include process start and follow one untimed run per side
 that writes bytecode caches.  Each measurement is taken ``--repeat`` times
 per side; the result keeps every sample and their median, as JSON on
 standard output or in the ``--out`` file.
@@ -58,6 +70,86 @@ def _dense_40() -> str:
 
 
 DENSE_40 = _dense_40()
+
+def _split_operators() -> list[str]:
+    """Products, sums and powers of symbols with simple zeros and poles on
+    both sides of the circle, some with a finite-rank part or a matrix block."""
+    rng = random.Random(19)
+
+    def root() -> str:
+        while True:
+            d = rng.randint(2, 4)
+            x, y = rng.randint(-3 * d, 3 * d), rng.choice((0, rng.randint(-2 * d, 2 * d)))
+            if x * x + y * y != d * d:  # off the circle
+                return f"({x}/{d}{y:+}/{d}i)"
+
+    def sym(zeros: int, poles: int) -> str:
+        num = "*".join(f"(z-{root()})" for _ in range(zeros))
+        den = "*".join(f"(z-{root()})" for _ in range(poles))
+        return f"({num}/({den}))"
+
+    ops = []
+    for k in range(24):
+        f, g = sym(1, 1), sym(2, 1)
+        ops.append([
+            f"T{f} * T{g}",
+            f"(T{f} + FR{{geo(1/2) | fin[1,-1/3i]}}) * T{g}",
+            f"T({g}^2 * {f})",
+            f"T{f} * T{g} (++) M[[0,1],[0,0]]",
+        ][k % 4])
+    return ops
+
+
+SPLIT_OPERATORS = _split_operators()
+SPLIT16 = "T((z-1/2)^16/(z-3)^16)"
+
+SPLIT_TIMER = """
+import json, sys, time
+from bfredholm.dsl import evaluate, parse
+from bfredholm.engine import _drazin_witness, analyze, index_trace
+from bfredholm.operators import ToeplitzBlock
+from bfredholm.poly import Polynomial, from_roots
+from bfredholm.scalars import ONE, gr
+from bfredholm.symbols import laurent_expansion, make_factored
+texts = json.loads(sys.argv[1])
+for _ in range(2):  # the first pass warms the interpreter up
+    start = time.perf_counter()
+    for t in texts:
+        analyze(evaluate(parse(t)))
+    analyze_ms = (time.perf_counter() - start) * 1e3 / len(texts)
+ops = [evaluate(parse(t)) for t in texts]
+symbols = [b.symbol for a in ops for b in a.blocks if isinstance(b, ToeplitzBlock) and b.symbol.split]
+splits = [f.split for f in symbols]
+roots = [(f.num.leading(), f.split.zeros) for f in symbols] + [(ONE, s.poles) for s in splits]
+
+def per_call(fn, args, reps):
+    start = time.perf_counter()
+    for _ in range(reps):
+        for a in args:
+            fn(*a)
+    return (time.perf_counter() - start) / (reps * len(args))
+
+drazin = index = 0.0
+for a in ops:
+    start = time.perf_counter()
+    w = _drazin_witness(a, "drazin")
+    mid = time.perf_counter()
+    index_trace(a, w)
+    drazin += mid - start
+    index += time.perf_counter() - mid
+coeffs = (gr(1, 2), gr(3), gr(0, -1))
+fresh = [(make_factored(gr(2), 0, s.zeros, s.poles),) for s in splits * 20]
+print(json.dumps({
+    "analyze_split_ms": analyze_ms,
+    "layers": {
+        "from_roots_us": per_call(from_roots, roots, 50) * 1e6,
+        "polynomial_us": per_call(Polynomial, [(coeffs,)] * 1000, 100) * 1e6,
+        "laurent_expansion_us": per_call(laurent_expansion, fresh, 1) * 1e6,
+        "drazin_witness_ms": drazin * 1e3 / len(ops),
+        "index_trace_ms": index * 1e3 / len(ops),
+    },
+}))
+"""
 
 WINDOW_TIMER = """
 import json, sys, time
@@ -109,11 +201,17 @@ def _timed(sides: dict[str, Path], args: list[str], repeat: int) -> dict:
 
 def measure(sides: dict[str, Path], repeat: int) -> dict:
     windows = {label: {} for label in sides}
+    split = {label: {} for label in sides}
     for _ in range(repeat):
         for label, src in sides.items():
             _, stdout = _run(src, ["-c", WINDOW_TIMER, PRODUCT, json.dumps(WINDOW_SIDES)])
             for n, ms in json.loads(stdout).items():
                 windows[label].setdefault(f"n={n}", []).append(ms)
+            _, stdout = _run(src, ["-c", SPLIT_TIMER, json.dumps(SPLIT_OPERATORS)])
+            out = json.loads(stdout)
+            split[label].setdefault("analyze_split_ms", []).append(out["analyze_split_ms"])
+            for name, value in out["layers"].items():
+                split[label].setdefault(name, []).append(value)
     cli = ["-m", "bfredholm.cli"]
     timed = {
         "verify_windows_s": _timed(sides, cli + ["verify", "--suite", "windows"], repeat),
@@ -121,11 +219,14 @@ def measure(sides: dict[str, Path], repeat: int) -> dict:
         "scan_readme_s": _timed(sides, cli + ["scan", "T(z - 1/2)", "--radii", "1/8,1/16", "--format", "csv"], repeat),
         "scan_dense40_s": _timed(sides, cli + ["scan", DENSE_40], repeat),
         "verify_punctured_s": _timed(sides, cli + ["verify", "--suite", "punctured"], repeat),
+        "index_split16_s": _timed(sides, cli + ["index", SPLIT16], repeat),
         "cold_start_s": _timed(sides, ["-c", "import bfredholm.cli"], repeat),
     }
     return {
         label: {
             "op_entry_window_ms": {n: _summary(ms, 3) for n, ms in windows[label].items()},
+            "analyze_split_ms": _summary(split[label].pop("analyze_split_ms"), 3),
+            "layers": {name: _summary(values, 3) for name, values in split[label].items()},
             **{name: result[label] for name, result in timed.items()},
         }
         for label in sides
@@ -153,6 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         "cpus": os.cpu_count(),
         "product": PRODUCT,
         "dense_40": DENSE_40,
+        "split_operators": SPLIT_OPERATORS,
         "repeat": args.repeat,
         "sides": measure(sides, args.repeat),
     }

@@ -6,13 +6,14 @@ the unit circle, and B-Fredholm when zero symbols (whose quotient class
 is Drazin invertible with inverse 0) are also allowed.  The index is
 computed two independent ways — the trace of the commutator against a
 Drazin witness, and minus the sum of symbol winding numbers — and the
-two must agree.
+two must agree.  analyze is the one runner of the two routes; the
+theorem verifiers read its reports.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -170,10 +171,6 @@ def _drazin_witness(a: BlockOperator, matrix_mode: str) -> DrazinWitness:
     return w
 
 
-def _commutator(a: BlockOperator, a0: BlockOperator) -> BlockOperator:
-    return op_arith(op_arith(a, a0, "mul"), op_arith(a0, a, "mul"), "sub")
-
-
 def _commutator_trace(comm: BlockOperator) -> GaussianRational:
     """tau of a commutator, summed blockwise; symbols must cancel."""
     total = ZERO
@@ -189,11 +186,9 @@ def _commutator_trace(comm: BlockOperator) -> GaussianRational:
     return total
 
 
-def index_trace(a: BlockOperator, witness: DrazinWitness | None = None) -> int:
-    """i(a) = tau(a a0 - a0 a) for a Drazin witness a0; exact integer."""
-    if witness is None:
-        witness = drazin_witness(a)
-    comm = _commutator(a, witness.inverse)
+def _commutator_index(a: BlockOperator, a0: BlockOperator) -> int:
+    """tau(a a0 - a0 a), which must be an exact integer."""
+    comm = op_arith(op_arith(a, a0, "mul"), op_arith(a0, a, "mul"), "sub")
     t = _commutator_trace(comm)
     if not t.is_rational_integer():
         raise NonIntegerTrace(
@@ -201,6 +196,13 @@ def index_trace(a: BlockOperator, witness: DrazinWitness | None = None) -> int:
             + "; ".join(str(b) for b in comm.blocks)
         )
     return int(t.re)
+
+
+def index_trace(a: BlockOperator, witness: DrazinWitness | None = None) -> int:
+    """i(a) = tau(a a0 - a0 a) for a Drazin witness a0; exact integer."""
+    if witness is None:
+        witness = drazin_witness(a)
+    return _commutator_index(a, witness.inverse)
 
 
 def index_winding(a: BlockOperator) -> int:
@@ -221,28 +223,51 @@ class IndexReport:
     defects_in_ideal: bool | None = None
 
 
-def analyze(a: BlockOperator) -> IndexReport:
-    """Classification plus both index routes where available."""
+def _run_routes(a: BlockOperator) -> tuple[IndexReport, MissingSplit | None]:
+    """analyze(a), and the MissingSplit that stopped its trace route.
+
+    The only code that runs the trace route, skips it on MissingSplit and
+    compares it with the winding route.
+    """
     c, iw = _class_and_index(a)
     if c == NOT_IN_CLASS:
-        return IndexReport(c, None, None, None, ("no index: not in class",))
-    notes = ["winding route: -sum of symbol windings"]
-    it = None
-    qidx = None
-    ideal_ok = None
+        return IndexReport(c, None, None, None, ("no index: not in class",)), None
+    notes = ("winding route: -sum of symbol windings",)
     try:
         w = _drazin_witness(a, "drazin")
         it = index_trace(a, w)
-        qidx = w.quotient_index
-        ideal_ok = w.defects_in_ideal()
-        notes.append("trace route: tau([a, a0]) against the Drazin witness")
-        if it != iw:
-            raise OracleMismatch(
-                f"index_trace={it} disagrees with index_winding={iw}"
-            )
     except MissingSplit as e:
-        notes.append(f"trace route unavailable: {e}")
-    return IndexReport(c, it, iw, qidx, tuple(notes), ideal_ok)
+        return IndexReport(c, None, iw, None, notes + (f"trace route unavailable: {e}",)), e
+    if it != iw:
+        raise OracleMismatch(f"index_trace={it} disagrees with index_winding={iw}")
+    notes += ("trace route: tau([a, a0]) against the Drazin witness",)
+    return IndexReport(c, it, iw, w.quotient_index, notes, w.defects_in_ideal()), None
+
+
+def analyze(a: BlockOperator) -> IndexReport:
+    """Classification plus both index routes where available."""
+    return _run_routes(a)[0]
+
+
+def _in_class(rep: IndexReport, message: str = "a symbol vanishes on the unit circle") -> IndexReport:
+    """rep, or NotBFredholm(message) when its operator is not in class."""
+    if rep.classification == NOT_IN_CLASS:
+        raise NotBFredholm(message)
+    return rep
+
+
+def _both_routes(a: BlockOperator) -> IndexReport:
+    """analyze(a) of an a in class whose trace route ran."""
+    rep, missing = _run_routes(a)
+    if missing is not None:
+        raise missing
+    return _in_class(rep)
+
+
+def _routes(*reps: IndexReport) -> list[str]:
+    """The routes that ran on every report."""
+    both = all(r.index_trace is not None for r in reps)
+    return ["winding route", "trace route"] if both else ["winding route"]
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +277,7 @@ def analyze(a: BlockOperator) -> IndexReport:
 
 def verify_fedosov(a: BlockOperator) -> IndexReport:
     """Both routes must agree exactly (trace-formula identity)."""
-    c, iw = _class_and_index(a)
-    if c == NOT_IN_CLASS:
-        raise NotBFredholm("a symbol vanishes on the unit circle")
-    w = _drazin_witness(a, "drazin")
-    it = index_trace(a, w)
-    if it != iw:
-        raise OracleMismatch(f"trace index {it} != winding index {iw}")
-    return IndexReport(
-        c, it, iw, w.quotient_index,
-        ("both routes computed and equal",), w.defects_in_ideal(),
-    )
+    return replace(_both_routes(a), pathway_notes=("both routes computed and equal",))
 
 
 def random_ideal_element(
@@ -313,12 +328,7 @@ def verify_well_defined(
     w = drazin_witness(a)
     base = index_trace(a, w)
     rng = random.Random(rng_seed)
-    values = []
-    for _ in range(trials):
-        t = _commutator_trace(_commutator(a, _perturb_witness(w.inverse, rng)))
-        if not t.is_rational_integer():
-            raise NonIntegerTrace(f"perturbed commutator trace {t}")
-        values.append(int(t.re))
+    values = [_commutator_index(a, _perturb_witness(w.inverse, rng)) for _ in range(trials)]
     if any(v != base for v in values):
         raise OracleMismatch(
             f"perturbed traces {values} differ from the base index {base}"
@@ -425,48 +435,26 @@ def verify_log_law(
     )
     if not op_equal(bezout, identity_like(a1)):
         raise NotBezout("u1 a1 + u2 a2 is not the identity")
-    prod = op_arith(a1, a2, "mul")
-    i1 = index_winding(a1)
-    i2 = index_winding(a2)
-    ip = index_winding(prod)
+    reps = [_in_class(analyze(x)) for x in (a1, a2, op_arith(a1, a2, "mul"))]
+    i1, i2, ip = (r.index_winding for r in reps)
     if ip != i1 + i2:
         raise OracleMismatch(f"i(a1 a2)={ip} but i(a1)+i(a2)={i1 + i2}")
-    notes = ["winding route"]
-    try:
-        t1 = index_trace(a1)
-        t2 = index_trace(a2)
-        tp = index_trace(prod)
-        if (t1, t2, tp) != (i1, i2, ip):
-            raise OracleMismatch("trace route disagrees on the log law")
-        notes.append("trace route")
-    except MissingSplit:
-        pass
-    return {"i_a1": i1, "i_a2": i2, "i_product": ip, "routes": notes}
+    return {"i_a1": i1, "i_a2": i2, "i_product": ip, "routes": _routes(*reps)}
 
 
 def verify_ideal_perturbation(
     a: BlockOperator, j: FiniteRankOperator, block_index: int = 0
 ) -> dict:
     """i(a + j) = i(a) for ideal j (Proposition ii shape)."""
-    base_c, base = _class_and_index(a)
-    if base_c == NOT_IN_CLASS:
-        raise NotBFredholm("base operator is not in class")
-    perturbed = op_arith(a, embed_finite_rank(a, j, block_index), "add")
-    c, after = _class_and_index(perturbed)
-    if c == NOT_IN_CLASS:
+    base = _in_class(analyze(a), "base operator is not in class")
+    after = analyze(op_arith(a, embed_finite_rank(a, j, block_index), "add"))
+    if after.classification == NOT_IN_CLASS:
         raise OracleMismatch("ideal perturbation left the class")
-    if base != after:
-        raise OracleMismatch(f"index moved under ideal perturbation: {base} -> {after}")
-    routes = ["winding route"]
-    try:
-        tb = index_trace(a)
-        ta = index_trace(perturbed)
-        if (tb, ta) != (base, after):
-            raise OracleMismatch("trace route disagrees under ideal perturbation")
-        routes.append("trace route")
-    except MissingSplit:
-        pass
-    return {"index": base, "classification": c, "routes": routes}
+    if base.index_winding != after.index_winding:
+        raise OracleMismatch(
+            f"index moved under ideal perturbation: {base.index_winding} -> {after.index_winding}"
+        )
+    return {"index": base.index_winding, "classification": after.classification, "routes": _routes(base, after)}
 
 
 def verify_power_law(a: BlockOperator, p: int) -> dict:
@@ -474,14 +462,9 @@ def verify_power_law(a: BlockOperator, p: int) -> dict:
     if p < 1:
         raise ValueError("power must be >= 1")
     ap = op_power(a, p)
-    iw = index_winding(a)
-    iwp = index_winding(ap)
+    iw, iwp = _both_routes(a).index_winding, _both_routes(ap).index_winding
     if iwp != p * iw:
         raise OracleMismatch(f"winding: i(a^{p})={iwp} != {p}*{iw}")
-    it = index_trace(a)
-    itp = index_trace(ap)
-    if (it, itp) != (iw, iwp):
-        raise OracleMismatch("trace route disagrees on the power law")
     return {"index": iw, "power": p, "index_power": iwp}
 
 

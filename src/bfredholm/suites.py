@@ -1,8 +1,8 @@
 """Curated verification suites.
 
 The corpus and the checks are part of the package's contract: every
-suite returns (name, passed, detail) triples and is deterministic for a
-fixed seed.  The window suite cross-checks the closed-form operator
+suite takes (seed, trials), returns (name, passed, detail) triples and is
+deterministic for a fixed seed; suites that perturb nothing ignore trials.  The window suite cross-checks the closed-form operator
 representation against brute-force truncated matrix arithmetic; the
 truncation is padded past the expression's total bandwidth so the
 compared window is exact, not approximate.
@@ -141,64 +141,64 @@ def bfredholm_cases() -> list[tuple[str, BlockOperator]]:
 # ---------------------------------------------------------------------------
 
 
+def _case(name: str, check, *args) -> Case:
+    """(name, ok, detail) from check(*args), or a failed case naming the
+    ExactError that check raised."""
+    try:
+        ok, detail = check(*args)
+    except ExactError as e:
+        return name, False, str(e)
+    return name, ok, detail
+
+
 def suite_fedosov(seed: int = 7, trials: int = 20) -> list[Case]:
-    out = []
-    for name, a in corpus(seed):
-        try:
-            rep = verify_fedosov(a)
-            ok = rep.index_trace == rep.index_winding
-            detail = f"index {rep.index_trace} by both routes"
-            if name.startswith("T(z^") and "-" not in name.split(")")[0]:
-                k = int(name[4])
-                ok = ok and rep.index_trace == -k
-                detail += f"; expected -{k}"
-            out.append((f"fedosov: {name}", ok, detail))
-        except ExactError as e:
-            out.append((f"fedosov: {name}", False, str(e)))
-    return out
+    def check(name, a):
+        rep = verify_fedosov(a)
+        ok = rep.index_trace == rep.index_winding
+        detail = f"index {rep.index_trace} by both routes"
+        if name.startswith("T(z^") and "-" not in name.split(")")[0]:
+            k = int(name[4])
+            ok = ok and rep.index_trace == -k
+            detail += f"; expected -{k}"
+        return ok, detail
+
+    return [_case(f"fedosov: {name}", check, name, a) for name, a in corpus(seed)]
 
 
 def suite_welldefined(seed: int = 7, trials: int = 20) -> list[Case]:
-    out = []
-    for name, a in corpus(seed) + bfredholm_cases():
-        try:
-            r = verify_well_defined(a, trials=trials, rng_seed=seed + 1)
-            detail = f"index {r['index']} stable over {trials} perturbations"
-            ok = True
-            # matrix-block witness choice must not move the index
-            w_d = drazin_witness(a, matrix_mode="drazin")
-            w_z = drazin_witness(a, matrix_mode="zero")
-            if index_trace(a, w_d) != index_trace(a, w_z):
-                ok = False
-                detail = "matrix witness modes disagree"
-            out.append((f"welldefined: {name}", ok, detail))
-        except ExactError as e:
-            out.append((f"welldefined: {name}", False, str(e)))
-    return out
+    def check(a):
+        r = verify_well_defined(a, trials=trials, rng_seed=seed + 1)
+        # matrix-block witness choice must not move the index
+        if r["index"] != index_trace(a, drazin_witness(a, matrix_mode="zero")):
+            return False, "matrix witness modes disagree"
+        return True, f"index {r['index']} stable over {trials} perturbations"
+
+    return [_case(f"welldefined: {name}", check, a) for name, a in corpus(seed) + bfredholm_cases()]
 
 
 _SCAN_RADII = [Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)]
 
 
-def suite_punctured(seed: int = 7) -> list[Case]:
-    out = []
-    for name, a in corpus(seed):
-        try:
-            rep = punctured_scan(a, _SCAN_RADII, directions=8)
-            # (z-1/2)^2/(z-3) maps z=1 to exactly -1/8, so the radius-1/8
-            # circle touches its essential spectrum; the theorem radius
-            # for that symbol is genuinely below 1/8
-            expected = Fraction(1, 16) if "(z-1/2)^2/(z-3)" in name else Fraction(1, 8)
-            ok = rep.stable_radius == expected
-            out.append(
-                (
-                    f"punctured: {name}",
-                    ok,
-                    f"index {rep.base_index} constant up to radius {rep.stable_radius}",
-                )
-            )
-        except ExactError as e:
-            out.append((f"punctured: {name}", False, str(e)))
+def suite_punctured(seed: int = 7, trials: int = 20) -> list[Case]:
+    def check(name, a):
+        rep = punctured_scan(a, _SCAN_RADII, directions=8)
+        # (z-1/2)^2/(z-3) maps z=1 to exactly -1/8, so the radius-1/8
+        # circle touches its essential spectrum; the theorem radius
+        # for that symbol is genuinely below 1/8
+        expected = Fraction(1, 16) if "(z-1/2)^2/(z-3)" in name else Fraction(1, 8)
+        return rep.stable_radius == expected, f"index {rep.base_index} constant up to radius {rep.stable_radius}"
+
+    def check_bfredholm(a):
+        rep = punctured_scan(a, _SCAN_RADII, directions=8)
+        ok = (
+            rep.base_classification == B_FREDHOLM
+            and rep.base_index == 0
+            and rep.stable_radius == Fraction(1, 8)
+            and all(r.classification in FREDHOLM_CLASSES for r in rep.rows)
+        )
+        return ok, "BFredholm at 0, Fredholm of index 0 on the punctured grid"
+
+    out = [_case(f"punctured: {name}", check, name, a) for name, a in corpus(seed)]
     # document the boundary coincidence explicitly
     ratio = toeplitz_operator(
         make_factored(ONE, 0, [(_half(), 2)], [(gr(3), 1)])
@@ -211,114 +211,71 @@ def suite_punctured(seed: int = 7) -> list[Case]:
             "f(1) = -1/8 exactly, so lambda = -1/8 gives a circle zero",
         )
     )
-    for name, a in bfredholm_cases():
-        try:
-            rep = punctured_scan(a, _SCAN_RADII, directions=8)
-            ok = (
-                rep.base_classification == B_FREDHOLM
-                and rep.base_index == 0
-                and rep.stable_radius == Fraction(1, 8)
-                and all(r.classification in FREDHOLM_CLASSES for r in rep.rows)
-            )
-            out.append(
-                (
-                    f"punctured: {name}",
-                    ok,
-                    "BFredholm at 0, Fredholm of index 0 on the punctured grid",
-                )
-            )
-        except ExactError as e:
-            out.append((f"punctured: {name}", False, str(e)))
+    out += [_case(f"punctured: {name}", check_bfredholm, a) for name, a in bfredholm_cases()]
     return out
 
 
-def suite_loglaw(seed: int = 7) -> list[Case]:
+def suite_loglaw(seed: int = 7, trials: int = 20) -> list[Case]:
     z = make_symbol(poly([0, 1]), poly([1]))
     Tz = toeplitz_operator(z)
     e = identity_like(Tz)
-    out = []
-    # 2*z - 2*(z - 1/2) = 1
+    # c*z - c*(z - 1/c) = 1 for a2 = T(z - 1/2), c = 2 and a3 = T(z - 2), c = 1/2
     a2 = toeplitz_operator(make_factored(ONE, 0, [(_half(), 1)], []))
-    try:
-        r = verify_log_law(Tz, a2, op_scale(e, gr(2)), op_scale(e, gr(-2)))
-        ok = (r["i_a1"], r["i_a2"], r["i_product"]) == (-1, -1, -2)
-        out.append(("loglaw: T(z), T(z-1/2)", ok, f"{r['i_product']} = {r['i_a1']} + {r['i_a2']}"))
-    except ExactError as exc:
-        out.append(("loglaw: T(z), T(z-1/2)", False, str(exc)))
-    # (1/2)*z - (1/2)*(z - 2) = 1
     a3 = toeplitz_operator(make_factored(ONE, 0, [(gr(2), 1)], []))
-    try:
-        r = verify_log_law(
-            Tz, a3, op_scale(e, _half()), op_scale(e, -_half())
-        )
-        ok = (r["i_a1"], r["i_a2"], r["i_product"]) == (-1, 0, -1)
-        out.append(("loglaw: T(z), T(z-2)", ok, f"{r['i_product']} = {r['i_a1']} + {r['i_a2']}"))
-    except ExactError as exc:
-        out.append(("loglaw: T(z), T(z-2)", False, str(exc)))
-    # an invalid Bezout pair must be rejected
-    try:
-        verify_log_law(Tz, a3, op_scale(e, -_half()), op_scale(e, _half()))
-        out.append(("loglaw: invalid Bezout pair rejected", False, "accepted a non-identity"))
-    except NotBezout:
-        out.append(("loglaw: invalid Bezout pair rejected", True, "NotBezout raised"))
-    except ExactError as exc:
-        out.append(("loglaw: invalid Bezout pair rejected", False, str(exc)))
-    # scalar multiples: i(3 a) = i(a)
-    try:
-        scaled = op_scale(Tz, gr(3))
-        ok = index_winding(scaled) == index_winding(Tz) == -1
-        ok = ok and index_trace(scaled) == -1
-        out.append(("loglaw: i(3*T(z)) = i(T(z))", ok, "both -1"))
-    except ExactError as exc:
-        out.append(("loglaw: i(3*T(z)) = i(T(z))", False, str(exc)))
-    return out
+
+    def law(a, c, want):
+        r = verify_log_law(Tz, a, op_scale(e, c), op_scale(e, -c))
+        got = (r["i_a1"], r["i_a2"], r["i_product"])
+        return got == want, f"{r['i_product']} = {r['i_a1']} + {r['i_a2']}"
+
+    def rejected():
+        try:
+            verify_log_law(Tz, a3, op_scale(e, -_half()), op_scale(e, _half()))
+        except NotBezout:
+            return True, "NotBezout raised"
+        return False, "accepted a non-identity"
+
+    def scaled():
+        s = op_scale(Tz, gr(3))
+        ok = index_winding(s) == index_winding(Tz) == -1
+        return ok and index_trace(s) == -1, "both -1"
+
+    return [
+        _case("loglaw: T(z), T(z-1/2)", law, a2, gr(2), (-1, -1, -2)),
+        _case("loglaw: T(z), T(z-2)", law, a3, _half(), (-1, 0, -1)),
+        # an invalid Bezout pair must be rejected
+        _case("loglaw: invalid Bezout pair rejected", rejected),
+        # scalar multiples: i(3 a) = i(a)
+        _case("loglaw: i(3*T(z)) = i(T(z))", scaled),
+    ]
 
 
 def suite_ideal(seed: int = 7, trials: int = 20) -> list[Case]:
     rng = random.Random(seed + 2)
-    out = []
-    for name, a in corpus(seed) + bfredholm_cases():
-        try:
-            base = index_winding(a)
-            ok = True
-            for _ in range(trials):
-                j = random_ideal_element(rng)
-                r = verify_ideal_perturbation(a, j)
-                if r["index"] != base:
-                    ok = False
-                    break
-            out.append((f"ideal: {name}", ok, f"index {base} under {trials} perturbations"))
-        except ExactError as e:
-            out.append((f"ideal: {name}", False, str(e)))
-    return out
+
+    def check(a):
+        base = index_winding(a)
+        ok = all(verify_ideal_perturbation(a, random_ideal_element(rng))["index"] == base for _ in range(trials))
+        return ok, f"index {base} under {trials} perturbations"
+
+    return [_case(f"ideal: {name}", check, a) for name, a in corpus(seed) + bfredholm_cases()]
 
 
-def suite_powerlaw(seed: int = 7) -> list[Case]:
-    out = []
-    members = [
-        (name, a)
-        for name, a in corpus(seed)
-        if classify(a) in FREDHOLM_CLASSES
-    ]
+def suite_powerlaw(seed: int = 7, trials: int = 20) -> list[Case]:
+    def check(a, p):
+        r = verify_power_law(a, p)
+        return True, f"{r['index_power']} = {p} * {r['index']}"
+
     # powers of decorated high-degree symbols get expensive; the law is
     # already exercised across the full symbol range below
-    for name, a in members:
-        for p in (2, 3, 4):
-            try:
-                r = verify_power_law(a, p)
-                out.append(
-                    (
-                        f"powerlaw: {name} ^ {p}",
-                        True,
-                        f"{r['index_power']} = {p} * {r['index']}",
-                    )
-                )
-            except ExactError as e:
-                out.append((f"powerlaw: {name} ^ {p}", False, str(e)))
-    return out
+    return [
+        _case(f"powerlaw: {name} ^ {p}", check, a, p)
+        for name, a in corpus(seed) if classify(a) in FREDHOLM_CLASSES
+        for p in (2, 3, 4)
+    ]
 
 
-def suite_traceaxioms(seed: int = 7) -> list[Case]:
+def suite_traceaxioms(seed: int = 7, trials: int = 20) -> list[Case]:
     rng = random.Random(seed + 3)
     out = []
     # axiom 1: rank-one idempotents have trace 1
@@ -373,7 +330,7 @@ def _is_idempotent(p) -> bool:
     return fr_equal(p.compose(p), p)
 
 
-def suite_windingoracle(seed: int = 7) -> list[Case]:
+def suite_windingoracle(seed: int = 7, trials: int = 20) -> list[Case]:
     rng = random.Random(seed + 4)
     out = []
     ok = True
@@ -551,7 +508,7 @@ def _sp_truncate(node: OpNode, size: int) -> dict:
     raise ExactError(f"not a window expression: {node!r}")
 
 
-def suite_windows(seed: int = 7, count: int = 100) -> list[Case]:
+def suite_windows(seed: int = 7, trials: int = 20, count: int = 100) -> list[Case]:
     rng = random.Random(seed + 5)
     failures = []
     for n in range(count):
@@ -582,13 +539,13 @@ def suite_windows(seed: int = 7, count: int = 100) -> list[Case]:
 SUITES = {
     "fedosov": suite_fedosov,
     "welldefined": suite_welldefined,
-    "punctured": lambda seed=7, trials=20: suite_punctured(seed),
-    "loglaw": lambda seed=7, trials=20: suite_loglaw(seed),
+    "punctured": suite_punctured,
+    "loglaw": suite_loglaw,
     "ideal": suite_ideal,
-    "powerlaw": lambda seed=7, trials=20: suite_powerlaw(seed),
-    "traceaxioms": lambda seed=7, trials=20: suite_traceaxioms(seed),
-    "windingoracle": lambda seed=7, trials=20: suite_windingoracle(seed),
-    "windows": lambda seed=7, trials=20: suite_windows(seed),
+    "powerlaw": suite_powerlaw,
+    "traceaxioms": suite_traceaxioms,
+    "windingoracle": suite_windingoracle,
+    "windows": suite_windows,
 }
 
 

@@ -24,6 +24,7 @@ multiplicity, and otherwise it is formed from num and den.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     FactorOnCircle,
@@ -120,7 +121,8 @@ class RationalSymbol:
 
 def _circle_split(zeros, poles) -> CircleSplit:
     for r, _ in zeros + poles:
-        if r.abs2() == 1:
+        a, b, d = r
+        if a * a + b * b == d * d:
             raise FactorOnCircle(f"factor root {r} lies on the unit circle")
     return CircleSplit(tuple(zeros), tuple(poles))
 
@@ -301,25 +303,30 @@ def invert_symbol(f: RationalSymbol) -> RationalSymbol:
 
 
 def sym_div(f: RationalSymbol, g: RationalSymbol) -> RationalSymbol:
-    """f/g; raises PoleOnCircle when g vanishes on the circle."""
+    """f/g, reduced before its denominator is checked: raises PoleOnCircle
+    when a circle zero of g is left in the reduced denominator."""
     if g.is_zero():
         raise ZeroSymbol("division by the zero symbol")
     if f.is_zero():
         return ZERO_SYMBOL
     if g.split is not None:
         return sym_arith(f, invert_symbol(g), "mul")
-    if not g.num.is_constant() and has_zero_on_circle(g.num):
-        raise PoleOnCircle(f"divisor numerator {g.num} vanishes on the circle")
     return make_symbol(f.num * g.den, f.den * g.num, f.shift - g.shift)
 
 
 def sym_pow(f: RationalSymbol, k: int) -> RationalSymbol:
+    """f^k in one step.  A split symbol multiplies its multiplicities by k.
+    Otherwise num^k and den^k are coprime and canonical as num and den
+    are, and have no split, since f^k splits only when f does."""
     if k < 0:
         return sym_pow(invert_symbol(f), -k)
-    out = make_factored(ONE, 0, [], [])
-    for _ in range(k):
-        out = sym_arith(out, f, "mul")
-    return out
+    if k == 0:
+        return make_factored(ONE, 0, [], [])
+    if f.split is not None:
+        zeros = [(r, k * m) for r, m in f.split.zeros]
+        poles = [(r, k * m) for r, m in f.split.poles]
+        return make_factored(f.lead**k, k * f.shift, zeros, poles)
+    return RationalSymbol(reduce(_times, [f.num] * k), reduce(_times, [f.den] * k), k * f.shift)
 
 
 def sym_equal(f: RationalSymbol, g: RationalSymbol) -> bool:
@@ -394,14 +401,16 @@ def expand_rational(num: Polynomial, poles, shift: int) -> LaurentExpansion:
         residues = _residues_at(rem, merged, p, m)
         if not residues:
             continue
+        a, b, d = p
+        outside = a * a + b * b > d * d
         if m == 1:
             # 1/(z-p) = -sum_n p^(-1-n) z^n outside, sum_u p^u z^(-1-u) inside
             c = residues[0][1]
-            if p.abs2() > 1:
+            if outside:
                 pos_tails.append((p.inv(), Polynomial((-(c / p),))))
             else:
                 neg_tails.append((p, Polynomial((c,))))
-        elif p.abs2() > 1:
+        elif outside:
             # 1/(z-p)^k = sum_n (-1)^k C(n+k-1, k-1) p^(-k-n) z^n
             acc = P_ZERO
             for k, c in residues:

@@ -32,6 +32,10 @@ num by the full pole product, and every tail, simple poles included,
 written through the binomial polynomials.  The library multiplies out
 the roots over the Gaussian integers, skips the division when num is
 already proper, and writes a simple-pole tail directly.
+
+A symbol power is kept as the loop of k products by f, each through
+sym_arith.  The library raises the multiplicities of a split symbol, or
+num and den of any other, in one step.
 """
 
 from __future__ import annotations
@@ -65,8 +69,10 @@ from bfredholm.symbols import (
     RationalSymbol,
     _merge_roots,
     _residues_at,
+    invert_symbol,
     make_factored,
     make_symbol,
+    sym_arith,
 )
 
 
@@ -166,6 +172,16 @@ def eager_reference(f: RationalSymbol, split: bool = True) -> RationalSymbol:
     num = from_roots_reference(f.lead, f.split.zeros)
     den = from_roots_reference(ONE, f.split.poles)
     return RationalSymbol(num, den, f.shift, f.split if split else None)
+
+
+def sym_pow_reference(f: RationalSymbol, k: int) -> RationalSymbol:
+    """f^k as k products by f."""
+    if k < 0:
+        return sym_pow_reference(invert_symbol(f), -k)
+    out = make_factored(ONE, 0, [], [])
+    for _ in range(k):
+        out = sym_arith(out, f, "mul")
+    return out
 
 
 def _split_shifted(p: Polynomial) -> list[Polynomial]:

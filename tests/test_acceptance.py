@@ -202,6 +202,17 @@ def test_budget_index_of_a_self_inversive_symbol(capsys):
     assert elapsed < 1.0, f"index of a self-inversive symbol took {elapsed:.2f}s (budget 1s)"
 
 
+def test_budget_index_of_a_symbol_power(capsys):
+    # f^20 of a split-free f is num^20/den^20 in one step, with no gcd and
+    # no symbol formed per factor
+    start = time.monotonic()
+    code = cli.main(["index", "T(((z^3+z+5)/(z^2-3))^20)"])
+    elapsed = time.monotonic() - start
+    out = capsys.readouterr().out
+    assert code == 0 and out.split()[0] == "0", out
+    assert elapsed < 2.0, f"index of a symbol power took {elapsed:.2f}s (budget 2s)"
+
+
 def test_budget_dense_degree_80_disk_count():
     rng = random.Random(3)
     p = poly([gr(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(81)])

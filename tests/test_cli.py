@@ -48,6 +48,23 @@ def test_analyze_not_in_class_exit_2(capsys):
     assert "NotInClass" in out
 
 
+@pytest.mark.parametrize(
+    "text, index",
+    [("T((z-1)/(z-1))", 0), ("T((z^2+1)*(z-3)/((z^2+1)*(z-1/2)))", 1)],
+)
+def test_quotient_cancels_a_circle_factor(capsys, text, index):
+    code, out, err = run(capsys, "index", text)
+    assert code == 0, err
+    assert out.strip() == f"{index}  (route: trace+winding)"
+
+
+@pytest.mark.parametrize("text, den", [("T(1/(z-1))", "-1 + z"), ("T(z/(z^2+1))", "1 + z^2")])
+def test_quotient_keeps_a_pole_on_the_circle(capsys, text, den):
+    code, out, err = run(capsys, "index", text)
+    assert code == 2 and out == ""
+    assert err == f"error: denominator {den} vanishes on the unit circle\n"
+
+
 def test_parse_error_exit_1(capsys):
     code, _, err = run(capsys, "analyze", "T(z")
     assert code == 1

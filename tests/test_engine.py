@@ -21,7 +21,7 @@ from bfredholm.engine import (
     verify_power_law,
     verify_well_defined,
 )
-from bfredholm.errors import BadScanGrid, NotBezout, NotBFredholm, NotCommuting
+from bfredholm.errors import BadScanGrid, MissingSplit, NotBezout, NotBFredholm, NotCommuting
 from bfredholm.matrices import jordan_nilpotent, matrix
 from bfredholm.numeric import winding_oracle
 from bfredholm.operators import (
@@ -289,3 +289,46 @@ def test_numeric_winding_oracle(f):
 def test_index_routes_reject_not_in_class(route):
     with pytest.raises(NotBFredholm):
         route(toeplitz_operator(make_symbol(poly([-1, 1]), poly([1]))))
+
+
+# The verifiers on symbols without a split, and outside the class.  These
+# pin the skip of the trace route, the MissingSplit they pass on and the
+# NotBFredholm they raise.
+
+SPLIT_FREE = "T(z^2 - 3)"
+NO_INVERSE = "symbol (-3 + z^2) has no CircleSplit; its inverse is unavailable"
+
+
+def _op(text):
+    return evaluate(parse(text))
+
+
+def test_log_law_on_a_split_free_symbol_keeps_the_winding_route():
+    tz = _op("T(z)")
+    e = identity_like(tz)
+    # (1/3) z * z - (1/3) (z^2 - 3) = 1
+    r = verify_log_law(tz, _op(SPLIT_FREE), op_scale(tz, gr(Fraction(1, 3))), op_scale(e, gr(Fraction(-1, 3))))
+    assert (r["i_a1"], r["i_a2"], r["i_product"]) == (-1, 0, -1)
+    assert r["routes"] == ["winding route"]
+
+
+def test_ideal_perturbation_on_a_split_free_symbol_keeps_the_winding_route():
+    r = verify_ideal_perturbation(_op(SPLIT_FREE), random_ideal_element(random.Random(5)))
+    assert r == {"index": 0, "classification": "InvertibleModJ", "routes": ["winding route"]}
+
+
+@pytest.mark.parametrize("verify", [verify_fedosov, lambda a: verify_power_law(a, 2)], ids=["fedosov", "powerlaw"])
+def test_both_route_verifiers_pass_on_missing_split(verify):
+    with pytest.raises(MissingSplit) as info:
+        verify(_op(SPLIT_FREE))
+    assert str(info.value) == NO_INVERSE
+
+
+def test_verifiers_reject_not_in_class():
+    a, e = _op("T(z - 1)"), identity_like(_op("T(z)"))
+    with pytest.raises(NotBFredholm):
+        verify_log_law(a, _op("T(z - 2)"), e, op_scale(e, gr(-1)))
+    with pytest.raises(NotBFredholm):
+        verify_ideal_perturbation(a, random_ideal_element(random.Random(5)))
+    with pytest.raises(NotBFredholm):
+        verify_power_law(a, 2)

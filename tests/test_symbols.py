@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bfredholm import symbols
+from bfredholm.dsl import evaluate, parse
 from bfredholm.errors import FactorOnCircle, MissingSplit, ZeroOnCircle, ZeroSymbol
 from bfredholm.finiterank import make_finite_rank
 from bfredholm.operators import op_arith, op_entry, toeplitz_operator
@@ -22,6 +23,7 @@ from bfredholm.symbols import (
     sym_pow,
     winding_number,
 )
+from references import random_symbol, sym_pow_reference
 
 Z = make_symbol(poly([0, 1]), poly([1]))
 F1 = make_symbol(poly([gr(Fraction(-1, 2)), 1]), poly([1]))          # z - 1/2
@@ -171,3 +173,21 @@ def test_entry_windows_expand_the_block_symbol_once(monkeypatch):
             for j in range(12):
                 op_entry(a, 0, i, j)
     assert expanded.count((target.num, target.shift)) <= 1
+
+
+def _pow_cases():
+    """Split, split-free, zero and circle-zero symbols."""
+    rng = random.Random(20)
+    out = [random_symbol(rng) for _ in range(24)]
+    texts = ["z^2 - 3", "(z^3 + z + 5)/(z^2 - 3)", "z^-1*(z^2 - z - 1)", "0", "z - 1",
+             "(z^2 + 1)*(z - 3)", "z^2*(z - i)", "(z - 1/2)/(z^2 - 3)", "5/2*z^-2"]
+    return out + [evaluate(parse(f"T({t})")).blocks[0].symbol for t in texts]
+
+
+@pytest.mark.parametrize("k", range(-5, 6))
+def test_sym_pow_matches_repeated_products(k):
+    # a negative power inverts f first, which needs a split
+    for f in _pow_cases():
+        if k >= 0 or f.split is not None:
+            got, want = sym_pow(f, k), sym_pow_reference(f, k)
+            assert got == want and got.split == want.split and got.lead == want.lead, (str(f), k)

@@ -32,6 +32,10 @@ change) are timed under the same load:
   (``laurent_expansion_us``), and ``_drazin_witness`` and ``index_trace``
   per operator (``drazin_witness_ms``, ``index_trace_ms``);
 - ``index_split16_s``: ``bfredholm index "T((z-1/2)^16/(z-3)^16)"``;
+- ``index_power20_s``: ``bfredholm index POWER_20``, the 20th power of a
+  symbol with no circle split;
+- ``verify_all_s``: ``bfredholm verify --suite all``, with its output's
+  SHA-256;
 - ``cold_start_s``: ``import bfredholm.cli`` in a new interpreter.
 
 ``op_entry_window_ms``, ``analyze_split_ms`` and ``layers`` are in-process;
@@ -102,6 +106,7 @@ def _split_operators() -> list[str]:
 
 SPLIT_OPERATORS = _split_operators()
 SPLIT16 = "T((z-1/2)^16/(z-3)^16)"
+POWER_20 = "T(((z^3+z+5)/(z^2-3))^20)"
 
 SPLIT_TIMER = """
 import json, sys, time
@@ -220,6 +225,8 @@ def measure(sides: dict[str, Path], repeat: int) -> dict:
         "scan_dense40_s": _timed(sides, cli + ["scan", DENSE_40], repeat),
         "verify_punctured_s": _timed(sides, cli + ["verify", "--suite", "punctured"], repeat),
         "index_split16_s": _timed(sides, cli + ["index", SPLIT16], repeat),
+        "index_power20_s": _timed(sides, cli + ["index", POWER_20], repeat),
+        "verify_all_s": _timed(sides, cli + ["verify", "--suite", "all"], repeat),
         "cold_start_s": _timed(sides, ["-c", "import bfredholm.cli"], repeat),
     }
     return {
@@ -255,6 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         "product": PRODUCT,
         "dense_40": DENSE_40,
         "split_operators": SPLIT_OPERATORS,
+        "power_20": POWER_20,
         "repeat": args.repeat,
         "sides": measure(sides, args.repeat),
     }

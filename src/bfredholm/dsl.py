@@ -296,10 +296,12 @@ class _Parser:
         return t.kind == "int" or (t.kind == "id" and t.text == "i")
 
     def parse_scalar(self) -> GaussianRational:
-        """Full scalar literal: [-] part [('+'|'-') part], part = a[/b][i] | i."""
+        """Full scalar literal: [-] part [('+'|'-') imag], part = a[/b][i] | i,
+        imag = a[/b]i | i.  Only a real first part takes an imaginary second
+        one, as format_scalar writes it; a + b with a real b is a sum."""
         first = self._scalar_part(allow_sign=True)
         t = self.peek()
-        if t.text in ("+", "-") and self._part_ahead(1):
+        if first.im == 0 and t.text in ("+", "-") and self._imaginary_ahead():
             self.next()
             second = self._scalar_part(allow_sign=False)
             if t.text == "-":
@@ -310,6 +312,14 @@ class _Parser:
     def _part_ahead(self, k: int) -> bool:
         t = self.peek(k)
         return t.kind == "int" or (t.kind == "id" and t.text == "i")
+
+    def _imaginary_ahead(self) -> bool:
+        """A part a[/b]i or i follows the sign at peek()."""
+        k = 1
+        if self.peek(k).kind == "int":
+            k += 3 if self.peek(k + 1).text == "/" and self.peek(k + 2).kind == "int" else 1
+        t = self.peek(k)
+        return t.kind == "id" and t.text == "i"
 
     def _scalar_part(self, allow_sign: bool) -> GaussianRational:
         sign = 1

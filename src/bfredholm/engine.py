@@ -27,7 +27,7 @@ from .errors import (
     ZeroOnCircle,
 )
 from .finiterank import FR_ZERO, FiniteRankOperator, make_finite_rank, trace as fr_trace
-from .matrices import drazin, is_nilpotent, matrix, zeros as mat_zeros
+from .matrices import drazin, matrix, zeros as mat_zeros
 from .operators import (
     Block,
     BlockOperator,
@@ -46,6 +46,7 @@ from .scalars import GaussianRational, ZERO, gr
 from .sequences import seq_finite
 from .symbols import (
     ZERO_SYMBOL,
+    RationalSymbol,
     invert_symbol,
     make_symbol,
     sym_arith,
@@ -96,22 +97,21 @@ class DrazinWitness:
     """Candidate Drazin inverse a0 of pi(a), with the certifying defects
     a*a0 - a0*a, a0*a*a0 - a0, a^(p+1)*a0 - a^p.
 
-    The defects are taken in the quotient: symbol differences with an
-    empty finite-rank correction, and exact products on matrix blocks.
-    The certificate is that each lies in the ideal (every Toeplitz symbol
-    difference is the zero symbol).  index_trace builds the full
-    commutator a*a0 - a0*a and takes its trace.
+    The defects are taken in the quotient, where the certificate is
+    decided: each is a tuple of symbol differences, one per Toeplitz block
+    in block order.  A matrix block lies in the ideal whole, so it gets a
+    witness and a Drazin index but no defect.  The certificate is that
+    every symbol difference is the zero symbol.  index_trace builds the
+    full commutator a*a0 - a0*a, matrix blocks included, and takes its
+    trace.
     """
 
     inverse: BlockOperator
     quotient_index: int
-    defects: tuple[BlockOperator, BlockOperator, BlockOperator]
+    defects: tuple[tuple[RationalSymbol, ...], ...]
 
     def defects_in_ideal(self) -> bool:
-        return all(
-            b.symbol.is_zero()
-            for d in self.defects for b in d.blocks if isinstance(b, ToeplitzBlock)
-        )
+        return all(f.is_zero() for d in self.defects for f in d)
 
 
 def drazin_witness(a: BlockOperator, matrix_mode: str = "drazin") -> DrazinWitness:
@@ -137,35 +137,20 @@ def _drazin_witness(a: BlockOperator, matrix_mode: str) -> DrazinWitness:
             else:
                 blocks.append(ToeplitzBlock(invert_symbol(b.symbol), FR_ZERO))
         else:
+            # the block lies in J, so 0 serves too; p is its Drazin index either way
             d, k = drazin(b.m)
-            if matrix_mode == "zero":
-                nil = is_nilpotent(b.m)
-                blocks.append(MatrixBlock(mat_zeros(b.m.rows, b.m.rows)))
-                # the zero witness certifies Drazin invertibility mod J
-                # regardless (the whole block is an ideal member); only
-                # nilpotent blocks make it a witness in A itself
-                p = max(p, nil if nil is not None else k)
-            else:
-                blocks.append(MatrixBlock(d))
-                p = max(p, k)
+            blocks.append(MatrixBlock(d if matrix_mode == "drazin" else mat_zeros(d.rows, d.rows)))
+            p = max(p, k)
     a0 = BlockOperator(tuple(blocks))
-    d1: list[Block] = []
-    d2: list[Block] = []
-    d3: list[Block] = []
+    d1, d2, d3 = [], [], []
     for x, y in zip(a.blocks, a0.blocks):
         if isinstance(x, ToeplitzBlock):  # symbols commute: f^(p+1) g = f^p (g f)
             f, g = x.symbol, y.symbol
             fg, gf, fp = sym_arith(f, g, "mul"), sym_arith(g, f, "mul"), sym_pow(f, p)
-            d1.append(ToeplitzBlock(sym_arith(fg, gf, "sub")))
-            d2.append(ToeplitzBlock(sym_arith(sym_arith(gf, g, "mul"), g, "sub")))
-            d3.append(ToeplitzBlock(sym_arith(sym_arith(fp, gf, "mul"), fp, "sub")))
-        else:
-            m, d, mp = x.m, y.m, x.m.power(p)
-            d1.append(MatrixBlock(m * d - d * m))
-            d2.append(MatrixBlock(d * m * d - d))
-            d3.append(MatrixBlock(mp * m * d - mp))
-    defects = tuple(BlockOperator(tuple(d)) for d in (d1, d2, d3))
-    w = DrazinWitness(a0, p, defects)
+            d1.append(sym_arith(fg, gf, "sub"))
+            d2.append(sym_arith(sym_arith(gf, g, "mul"), g, "sub"))
+            d3.append(sym_arith(sym_arith(fp, gf, "mul"), fp, "sub"))
+    w = DrazinWitness(a0, p, (tuple(d1), tuple(d2), tuple(d3)))
     if not w.defects_in_ideal():
         raise OracleMismatch("a Drazin defect left the ideal; internal error")
     return w

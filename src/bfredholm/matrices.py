@@ -1,7 +1,9 @@
 """Exact dense matrices over Q(i): rank, Drazin inverse, spectral trace.
 
 Desk-scale (n <= 12) linear algebra with plain fraction arithmetic;
-entries are canonical, so equality is structural.
+entries are canonical, so equality is structural.  Rank, inverse and
+Drazin inverse each come from one row reduction (_rref); the Drazin
+inverse is the closed form A^k X A^k, with no change of basis.
 """
 
 from __future__ import annotations
@@ -52,14 +54,15 @@ class ExactMatrix:
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ExactError("inner dimensions do not match")
+        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
         out = []
         for i in range(self.rows):
-            for j in range(other.cols):
+            row = self.entries[i * self.cols : (i + 1) * self.cols]
+            for col in columns:
                 acc = ZERO
-                for k in range(self.cols):
-                    a = self.at(i, k)
-                    if not a.is_zero():
-                        acc = acc + a * other.at(k, j)
+                for a, b in zip(row, col):
+                    if not (a.is_zero() or b.is_zero()):
+                        acc = acc + a * b
                 out.append(acc)
         return ExactMatrix(self.rows, other.cols, tuple(out))
 
@@ -168,26 +171,6 @@ def rank(A: ExactMatrix) -> int:
     return len(pivots)
 
 
-def null_space(A: ExactMatrix) -> list[list[GaussianRational]]:
-    """Basis of the kernel as column vectors (lists of length cols)."""
-    rows, pivots = _rref([A.row(i) for i in range(A.rows)])
-    free = [c for c in range(A.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * A.cols
-        vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def column_space(A: ExactMatrix) -> list[list[GaussianRational]]:
-    """Basis of the column space as column vectors."""
-    _, pivots = _rref([A.row(i) for i in range(A.rows)])
-    return [[A.at(i, c) for i in range(A.rows)] for c in pivots]
-
-
 def inverse(A: ExactMatrix) -> ExactMatrix:
     A._square()
     n = A.rows
@@ -198,50 +181,32 @@ def inverse(A: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(n, n, tuple(rows[i][n + j] for i in range(n) for j in range(n)))
 
 
-def from_columns(cols: list[list[GaussianRational]]) -> ExactMatrix:
-    n = len(cols[0])
-    return ExactMatrix(
-        n, len(cols), tuple(cols[j][i] for i in range(n) for j in range(len(cols)))
-    )
-
-
 def drazin(A: ExactMatrix) -> tuple[ExactMatrix, int]:
-    """Drazin inverse via the Fitting decomposition.
+    """Drazin inverse by the closed form A^D = A^k X A^k.
 
     Returns (D, k) where k is the smallest integer >= 0 with
-    rank(A^k) = rank(A^(k+1)); D satisfies AD = DA, DAD = D and
-    A^(k+1) D = A^k exactly.
+    rank(A^k) = rank(A^(k+1)), and X is any {1}-inverse of A^(2k+1)
+    (Campbell & Meyer, Generalized Inverses of Linear Transformations,
+    ch. 7), read off one row reduction of [A^(2k+1) | I].  D satisfies
+    AD = DA, DAD = D and A^(k+1) D = A^k exactly.
     """
     A._square()
     n = A.rows
-    if n == 0:
-        return A, 0
-    k = 0
-    power = identity(n)
-    r_prev = n
-    while True:
-        nxt = power * A
-        r_next = rank(nxt)
-        if r_next == r_prev:
-            break
-        power = nxt
-        r_prev = r_next
-        k += 1
-    # power = A^k; split C^n = range(A^k) (+) ker(A^k), both A-invariant.
-    if r_prev == n:
-        return inverse(A), 0
-    if r_prev == 0:
+    # power = A^k and nxt = A^(k+1); k grows until their ranks agree
+    k, power, nxt, r = 0, identity(n), A, n
+    while (r_next := rank(nxt)) != r:
+        k, power, nxt, r = k + 1, nxt, nxt * A, r_next
+    if r == 0:  # A^k = 0
         return zeros(n, n), k
-    cols = column_space(power) + null_space(power)
-    P = from_columns(cols)
-    Pinv = inverse(P)
-    B = Pinv * A * P
-    r = r_prev
-    core = ExactMatrix(r, r, tuple(B.at(i, j) for i in range(r) for j in range(r)))
-    core_inv = inverse(core)
-    block = [[core_inv.at(i, j) if i < r and j < r else ZERO for j in range(n)] for i in range(n)]
-    D = P * matrix(block) * Pinv
-    return D, k
+    # row c of X is the right half of the pivot row of column c < n
+    M = nxt * power
+    rows, pivots = _rref([M.row(i) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)])
+    x = [ZERO] * (n * n)
+    for i, c in enumerate(pivots):
+        if c < n:
+            x[c * n : (c + 1) * n] = rows[i][n:]
+    X = ExactMatrix(n, n, tuple(x))
+    return (power * X * power if k else X), k
 
 
 def charpoly(A: ExactMatrix) -> Polynomial:

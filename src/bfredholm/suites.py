@@ -277,57 +277,55 @@ def suite_powerlaw(seed: int = 7, trials: int = 20) -> list[Case]:
 
 def suite_traceaxioms(seed: int = 7, trials: int = 20) -> list[Case]:
     rng = random.Random(seed + 3)
-    out = []
-    # axiom 1: rank-one idempotents have trace 1
-    ok1 = True
-    for t in range(10):
-        head = [gr(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(t % 3 + 1)]
-        if all(h.is_zero() for h in head):
-            head[0] = gr(1)
-        u = seq_finite(head)
-        if t % 2:
-            u = u + seq_geo(gr(Fraction(1, 2 + t % 3)))
-        # normalize v against u so that pairing(v, u) = 1
-        k = 0
-        while u.value(k).is_zero():
-            k += 1
-        v = seq_basis(k).scale(u.value(k).inv())
-        p = outer(u, v)
-        if fr_trace(p) != ONE or not _is_idempotent(p):
-            ok1 = False
-    out.append(("trace axiom 1: rank-one idempotents", ok1, "10 constructed idempotents"))
-    # axioms 2 and 3: linearity
-    ok2 = True
-    for _ in range(50):
-        F = random_ideal_element(rng)
-        G = random_ideal_element(rng)
-        alpha = gr(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-        if fr_trace(F + G) != fr_trace(F) + fr_trace(G):
-            ok2 = False
-        if fr_trace(F.scale(alpha)) != alpha * fr_trace(F):
-            ok2 = False
-    out.append(("trace axioms 2-3: linearity", ok2, "50 random pairs"))
-    # axiom 4: tau(F B) = tau(B F) against full block operators
-    ok4 = True
-    syms = [f for _, f in corpus_symbols()]
-    for n in range(25):
-        F = random_ideal_element(rng)
-        g = syms[rng.randrange(len(syms))]
-        G = random_ideal_element(rng)
-        b = BlockOperator((ToeplitzBlock(g, G),))
-        if rng.random() < 0.4:
-            b = direct_sum(b, matrix_operator(jordan_nilpotent(2)))
-        opf = embed_finite_rank(b, F)
-        fb = op_arith(opf, b, "mul")
-        bf = op_arith(b, opf, "mul")
-        if _commutator_trace(fb) != _commutator_trace(bf):
-            ok4 = False
-    out.append(("trace axiom 4: tau(FB) = tau(BF)", ok4, "25 random pairs"))
-    return out
 
+    def idempotents():  # axiom 1: rank-one idempotents have trace 1
+        ok = True
+        for t in range(10):
+            head = [gr(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(t % 3 + 1)]
+            if all(h.is_zero() for h in head):
+                head[0] = gr(1)
+            u = seq_finite(head)
+            if t % 2:
+                u = u + seq_geo(gr(Fraction(1, 2 + t % 3)))
+            # normalize v against u so that pairing(v, u) = 1
+            k = 0
+            while u.value(k).is_zero():
+                k += 1
+            v = seq_basis(k).scale(u.value(k).inv())
+            p = outer(u, v)
+            ok = fr_trace(p) == ONE and fr_equal(p.compose(p), p) and ok
+        return ok, "10 constructed idempotents"
 
-def _is_idempotent(p) -> bool:
-    return fr_equal(p.compose(p), p)
+    def linearity():  # axioms 2 and 3
+        ok = True
+        for _ in range(50):
+            F = random_ideal_element(rng)
+            G = random_ideal_element(rng)
+            alpha = gr(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            ok = fr_trace(F + G) == fr_trace(F) + fr_trace(G) and ok
+            ok = fr_trace(F.scale(alpha)) == alpha * fr_trace(F) and ok
+        return ok, "50 random pairs"
+
+    def cyclicity():  # axiom 4: tau(F B) = tau(B F) against full block operators
+        ok = True
+        syms = [f for _, f in corpus_symbols()]
+        for _ in range(25):
+            F = random_ideal_element(rng)
+            g = syms[rng.randrange(len(syms))]
+            G = random_ideal_element(rng)
+            b = BlockOperator((ToeplitzBlock(g, G),))
+            if rng.random() < 0.4:
+                b = direct_sum(b, matrix_operator(jordan_nilpotent(2)))
+            opf = embed_finite_rank(b, F)
+            fb, bf = op_arith(opf, b, "mul"), op_arith(b, opf, "mul")
+            ok = _commutator_trace(fb) == _commutator_trace(bf) and ok
+        return ok, "25 random pairs"
+
+    return [
+        _case("trace axiom 1: rank-one idempotents", idempotents),
+        _case("trace axioms 2-3: linearity", linearity),
+        _case("trace axiom 4: tau(FB) = tau(BF)", cyclicity),
+    ]
 
 
 def suite_windingoracle(seed: int = 7, trials: int = 20) -> list[Case]:

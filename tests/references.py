@@ -36,6 +36,11 @@ already proper, and writes a simple-pole tail directly.
 A symbol power is kept as the loop of k products by f, each through
 sym_arith.  The library raises the multiplicities of a split symbol, or
 num and den of any other, in one step.
+
+A matrix Drazin inverse is kept as the Fitting decomposition the library
+once built: a basis of range(A^k) beside one of ker(A^k), the core block
+inverted in that basis and conjugated back.  The library reads A^k X A^k
+off one row reduction of [A^(2k+1) | I] instead.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from math import comb
 
 from bfredholm.engine import FREDHOLM_CLASSES, SCAN_DIRECTIONS, ScanReport, ScanRow, _class_and_index
 from bfredholm.finiterank import FiniteRankOperator, make_finite_rank
+from bfredholm.matrices import ExactMatrix, _rref, identity, inverse, matrix, rank, zeros
 from bfredholm.operators import (
     BlockOperator,
     hankel_defect,
@@ -272,6 +278,59 @@ def punctured_scan_reference(a: BlockOperator, radii: list[Fraction], directions
         else:
             break
     return ScanReport(base_c, base, tuple(rows), stable)
+
+
+def _null_space(A: ExactMatrix) -> list[list[GaussianRational]]:
+    """Basis of the kernel as column vectors (lists of length cols)."""
+    rows, pivots = _rref([A.row(i) for i in range(A.rows)])
+    basis = []
+    for fc in (c for c in range(A.cols) if c not in pivots):
+        vec = [ZERO] * A.cols
+        vec[fc] = ONE
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def _column_space(A: ExactMatrix) -> list[list[GaussianRational]]:
+    """Basis of the column space as column vectors."""
+    _, pivots = _rref([A.row(i) for i in range(A.rows)])
+    return [[A.at(i, c) for i in range(A.rows)] for c in pivots]
+
+
+def _from_columns(cols: list[list[GaussianRational]]) -> ExactMatrix:
+    n = len(cols[0])
+    return ExactMatrix(n, len(cols), tuple(cols[j][i] for i in range(n) for j in range(len(cols))))
+
+
+def drazin_reference(A: ExactMatrix) -> tuple[ExactMatrix, int]:
+    """(D, k) through the Fitting decomposition C^n = range(A^k) (+) ker(A^k)."""
+    n = A.rows
+    if n == 0:
+        return A, 0
+    k = 0
+    power = identity(n)
+    r_prev = n
+    while True:
+        nxt = power * A
+        r_next = rank(nxt)
+        if r_next == r_prev:
+            break
+        power = nxt
+        r_prev = r_next
+        k += 1
+    if r_prev == n:
+        return inverse(A), 0
+    if r_prev == 0:
+        return zeros(n, n), k
+    P = _from_columns(_column_space(power) + _null_space(power))
+    Pinv = inverse(P)
+    B = Pinv * A * P
+    r = r_prev
+    core_inv = inverse(ExactMatrix(r, r, tuple(B.at(i, j) for i in range(r) for j in range(r))))
+    block = [[core_inv.at(i, j) if i < r and j < r else ZERO for j in range(n)] for i in range(n)]
+    return P * matrix(block) * Pinv, k
 
 
 def _scalar(rng: random.Random, zero_share: float = 0.0) -> GaussianRational:

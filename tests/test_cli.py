@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import bfredholm
+from bfredholm import suites
 from bfredholm.cli import main
+from bfredholm.errors import ExactError
 from bfredholm.dsl import MAX_HEIGHT
 
 
@@ -46,6 +48,16 @@ def test_analyze_not_in_class_exit_2(capsys):
     code, out, _ = run(capsys, "analyze", "T(z - 1)")
     assert code == 2
     assert "NotInClass" in out
+
+
+@pytest.mark.parametrize("text, index", [("T(4 + 1*z)", "0"), ("T(4 + z)", "0"), ("T(z - 1 - 2*z)", None)])
+def test_real_literal_parts_are_added_as_terms(capsys, text, index):
+    # 4 + 1*z is 4 + z, not 5*z; z - 1 - 2*z = -1 - z vanishes at z = -1
+    code, out, _ = run(capsys, "index", text)
+    if index is None:
+        assert code == 2 and "no index: NotInClass" in out
+    else:
+        assert code == 0 and out.split()[0] == index
 
 
 @pytest.mark.parametrize(
@@ -279,6 +291,25 @@ def test_verify_json(capsys):
     body = json.loads(out)
     assert body["failed"] == 0
     assert body["passed"] == len(body["cases"]) > 0
+
+
+def test_a_library_error_in_the_trace_axioms_is_a_failed_case(capsys, monkeypatch):
+    def broken(F):
+        raise ExactError("broken trace")
+
+    monkeypatch.setattr(suites, "fr_trace", broken)
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 3
+    lines = out.strip().splitlines()
+    axioms = [line for line in lines if "trace axiom" in line]
+    # axiom 4 reads the trace through the engine, which is not patched
+    assert axioms == [
+        "FAIL  trace axiom 1: rank-one idempotents: broken trace",
+        "FAIL  trace axioms 2-3: linearity: broken trace",
+        "PASS  trace axiom 4: tau(FB) = tau(BF): 25 random pairs",
+    ]
+    assert any(line.startswith("PASS  fedosov: ") for line in lines)
+    assert lines[-1] == f"{len(lines) - 3}/{len(lines) - 1} cases passed"
 
 
 def test_demo_nonstability(capsys):

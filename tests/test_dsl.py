@@ -36,6 +36,23 @@ def test_round_trip_random(seed):
     assert parse(pretty(ast)) == ast
 
 
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("T(4 + 1*z)", "T((4) + (1) * z)"),
+        ("T(2*z + 3 + 4*z)", "T((2) * z + (3) + (4) * z)"),
+        ("T(z - 1 - 2*z)", "T(z - (1) - (2) * z)"),
+        # a real part followed by an imaginary one is still one literal
+        ("(1/2+1/2i) * T(z)", "(1/2+1/2i) * T(z)"),
+        ("T(z - 1/2+1/3i)", "T(z - (1/2+1/3i))"),
+        ("FR{geo(-1/4+1/3i) | e0}", "FR{geo(-1/4+1/3i) | e0}"),
+        ("T(3 + 2/3i*z)", "T((3+2/3i) * z)"),
+    ],
+)
+def test_two_real_parts_are_a_sum(text, printed):
+    assert pretty(parse(text)) == printed
+
+
 def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse("T(z")

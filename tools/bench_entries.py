@@ -30,7 +30,11 @@ change) are timed under the same load:
   symbols), ``Polynomial(...)`` of three coefficients
   (``polynomial_us``), ``laurent_expansion`` of a fresh split symbol
   (``laurent_expansion_us``), and ``_drazin_witness`` and ``index_trace``
-  per operator (``drazin_witness_ms``, ``index_trace_ms``);
+  per operator (``drazin_witness_ms``, ``index_trace_ms``); also
+  ``_drazin_witness`` per operator of ``MATRIX_OPERATORS``, a fixed seeded
+  list of split symbols beside 2 x 2 and 3 x 3 nilpotent, invertible and
+  mixed matrix blocks (``drazin_witness_matrix_ms``), and ``drazin`` per
+  call on those blocks (``drazin_us``);
 - ``index_split16_s``: ``bfredholm index "T((z-1/2)^16/(z-3)^16)"``;
 - ``index_power20_s``: ``bfredholm index POWER_20``, the 20th power of a
   symbol with no circle split;
@@ -105,6 +109,44 @@ def _split_operators() -> list[str]:
 
 
 SPLIT_OPERATORS = _split_operators()
+
+
+def _matrix_operators() -> list[str]:
+    """A split symbol beside a matrix block: nilpotent, invertible or mixed
+    (an invertible part coupled to a nilpotent one), 2 x 2 and 3 x 3."""
+    rng = random.Random(21)
+
+    def q(nonzero: bool = False) -> str:
+        while True:
+            x = f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}"
+            if not nonzero or not x.startswith("0"):
+                return x
+
+    def mat(rows) -> str:
+        return "M[" + ", ".join("[" + ", ".join(rows[i]) + "]" for i in range(len(rows))) + "]"
+
+    blocks = [
+        lambda: mat([["0", q(True)], ["0", "0"]]),
+        lambda: mat([["0", q(True), q()], ["0", "0", q(True)], ["0", "0", "0"]]),
+        lambda: mat([[q(True), q()], ["0", q(True)]]),
+        lambda: mat([[q(True), q(), q()], ["0", q(True), q()], ["0", "0", q(True)]]),
+        lambda: mat([[q(True), q()], ["0", "0"]]),
+        lambda: mat([[q(True), q(), q()], ["0", "0", q(True)], ["0", "0", "0"]]),
+    ]
+    def root() -> str:
+        while True:
+            d = rng.randint(2, 4)
+            x = rng.randint(-3 * d, 3 * d)
+            if abs(x) != d:  # off the circle
+                return f"({x}/{d})"
+
+    return [
+        f"T((z-{root()})*(z-{root()})/(z-{root()})) (++) {blocks[k % len(blocks)]()}"
+        for k in range(24)
+    ]
+
+
+MATRIX_OPERATORS = _matrix_operators()
 SPLIT16 = "T((z-1/2)^16/(z-3)^16)"
 POWER_20 = "T(((z^3+z+5)/(z^2-3))^20)"
 
@@ -112,7 +154,8 @@ SPLIT_TIMER = """
 import json, sys, time
 from bfredholm.dsl import evaluate, parse
 from bfredholm.engine import _drazin_witness, analyze, index_trace
-from bfredholm.operators import ToeplitzBlock
+from bfredholm.matrices import drazin
+from bfredholm.operators import MatrixBlock, ToeplitzBlock
 from bfredholm.poly import Polynomial, from_roots
 from bfredholm.scalars import ONE, gr
 from bfredholm.symbols import laurent_expansion, make_factored
@@ -134,14 +177,18 @@ def per_call(fn, args, reps):
             fn(*a)
     return (time.perf_counter() - start) / (reps * len(args))
 
-drazin = index = 0.0
+witness_s = trace_s = 0.0
 for a in ops:
     start = time.perf_counter()
     w = _drazin_witness(a, "drazin")
     mid = time.perf_counter()
     index_trace(a, w)
-    drazin += mid - start
-    index += time.perf_counter() - mid
+    witness_s += mid - start
+    trace_s += time.perf_counter() - mid
+matrix_ops = [evaluate(parse(t)) for t in json.loads(sys.argv[2])]
+witness_args = [(a, "drazin") for a in matrix_ops]
+per_call(_drazin_witness, witness_args, 1)  # warms the interpreter up
+matrices = [(b.m,) for a in matrix_ops for b in a.blocks if isinstance(b, MatrixBlock)]
 coeffs = (gr(1, 2), gr(3), gr(0, -1))
 fresh = [(make_factored(gr(2), 0, s.zeros, s.poles),) for s in splits * 20]
 print(json.dumps({
@@ -150,8 +197,10 @@ print(json.dumps({
         "from_roots_us": per_call(from_roots, roots, 50) * 1e6,
         "polynomial_us": per_call(Polynomial, [(coeffs,)] * 1000, 100) * 1e6,
         "laurent_expansion_us": per_call(laurent_expansion, fresh, 1) * 1e6,
-        "drazin_witness_ms": drazin * 1e3 / len(ops),
-        "index_trace_ms": index * 1e3 / len(ops),
+        "drazin_witness_ms": witness_s * 1e3 / len(ops),
+        "index_trace_ms": trace_s * 1e3 / len(ops),
+        "drazin_witness_matrix_ms": per_call(_drazin_witness, witness_args, 5) * 1e3,
+        "drazin_us": per_call(drazin, matrices, 20) * 1e6,
     },
 }))
 """
@@ -212,7 +261,7 @@ def measure(sides: dict[str, Path], repeat: int) -> dict:
             _, stdout = _run(src, ["-c", WINDOW_TIMER, PRODUCT, json.dumps(WINDOW_SIDES)])
             for n, ms in json.loads(stdout).items():
                 windows[label].setdefault(f"n={n}", []).append(ms)
-            _, stdout = _run(src, ["-c", SPLIT_TIMER, json.dumps(SPLIT_OPERATORS)])
+            _, stdout = _run(src, ["-c", SPLIT_TIMER, json.dumps(SPLIT_OPERATORS), json.dumps(MATRIX_OPERATORS)])
             out = json.loads(stdout)
             split[label].setdefault("analyze_split_ms", []).append(out["analyze_split_ms"])
             for name, value in out["layers"].items():
@@ -262,6 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         "product": PRODUCT,
         "dense_40": DENSE_40,
         "split_operators": SPLIT_OPERATORS,
+        "matrix_operators": MATRIX_OPERATORS,
         "power_20": POWER_20,
         "repeat": args.repeat,
         "sides": measure(sides, args.repeat),

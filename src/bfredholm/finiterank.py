@@ -5,8 +5,9 @@ The action is F(x) = sum_k pairing(v_k, x) u_k with the bilinear pairing
 upper bound on the rank; exact rank is not computed.  A composition F o G
 is formed by its action, F(u') (x) v' for each term of G, so it has one
 term per term of the right factor.  An entry F_ij = sum_k u_k(i) v_k(j)
-reads v_k(j) only where u_k(i) is nonzero; ``operators.op_entry`` shares
-that sum and keeps the u_k(i) and v_k(j) it read for the next entry.
+reads v_k(j) only where u_k(i) is nonzero and is one Gaussian-integer dot
+product over a common denominator, reduced once; ``operators.op_entry``
+shares that sum and keeps the u_k(i) and v_k(j) it read for the next entry.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange
-from .scalars import GaussianRational, ZERO, gr
+from .scalars import GaussianRational, ZERO, _dot, gr
 from .sequences import RationalSequence, SEQ_ZERO, pairing
 
 
@@ -80,23 +81,27 @@ def trace(F: FiniteRankOperator) -> GaussianRational:
 
 def fr_entry(F: FiniteRankOperator, i: int, j: int) -> GaussianRational:
     """F_ij = sum_k u_k(i) v_k(j) for i, j >= 0."""
+    if i < 0 or j < 0:
+        raise IndexOutOfRange(f"({i},{j}) has a negative index")
     return _entry_sum(F, i, j, {}, {})
 
 
-def _entry_sum(F: FiniteRankOperator, i: int, j: int, rows: dict, cols: dict) -> GaussianRational:
-    """F_ij, keeping the values it reads: rows[i][k] = u_k(i), cols[j][k] = v_k(j).
+def _entry_sum(F: FiniteRankOperator, i: int, j: int, rows: dict, cols: dict,
+               base: GaussianRational = ZERO) -> GaussianRational:
+    """base + F_ij for i, j >= 0, keeping the values it reads: rows[i][k] =
+    u_k(i), cols[j][k] = v_k(j).
 
     v_k(j) is read only where u_k(i) != 0; cols[j][k] is None until then.
+    The nonzero products are summed by one ``_dot``, reduced once; with
+    none, base is returned as it is.
     """
-    if i < 0 or j < 0:
-        raise IndexOutOfRange(f"({i},{j}) has a negative index")
     row = rows.get(i)
     if row is None:
         row = rows[i] = [u.value(i) for u, _ in F.terms]
     col = cols.get(j)
     if col is None:
         col = cols[j] = [None] * len(row)
-    total = ZERO
+    pairs = []
     for k, a in enumerate(row):
         if a.is_zero():
             continue
@@ -104,8 +109,8 @@ def _entry_sum(F: FiniteRankOperator, i: int, j: int, rows: dict, cols: dict) ->
         if b is None:
             b = col[k] = F.terms[k][1].value(j)
         if not b.is_zero():
-            total = a * b if total.is_zero() else total + a * b
-    return total
+            pairs.append((a, b))
+    return _dot(pairs, base) if pairs else base
 
 
 def _coords(x: RationalSequence) -> dict:

@@ -1,9 +1,9 @@
 """Exact dense matrices over Q(i): rank, Drazin inverse, spectral trace.
 
 Desk-scale (n <= 12) linear algebra with plain fraction arithmetic;
-entries are canonical, so equality is structural.  Rank, inverse and
-Drazin inverse each come from one row reduction (_rref); the Drazin
-inverse is the closed form A^k X A^k, with no change of basis.
+entries are canonical, so equality is structural.  Rank and Drazin
+inverse each come from one row reduction (_rref); the Drazin inverse is
+the closed form A^k X A^k, with no change of basis.
 """
 
 from __future__ import annotations
@@ -169,16 +169,6 @@ def rank(A: ExactMatrix) -> int:
         return 0
     _, pivots = _rref([A.row(i) for i in range(A.rows)])
     return len(pivots)
-
-
-def inverse(A: ExactMatrix) -> ExactMatrix:
-    A._square()
-    n = A.rows
-    aug = [A.row(i) + identity(n).row(i) for i in range(n)]
-    rows, pivots = _rref(aug)
-    if len(pivots) != n or pivots != list(range(n)):
-        raise ExactError("matrix is singular")
-    return ExactMatrix(n, n, tuple(rows[i][n + j] for i in range(n) for j in range(n)))
 
 
 def drazin(A: ExactMatrix) -> tuple[ExactMatrix, int]:

@@ -294,8 +294,10 @@ def op_entry(a: BlockOperator, block_index: int, i: int, j: int) -> GaussianRati
 
     Valid indices are 0 <= block_index < len(a.blocks) and i, j >= 0, and
     on a matrix block also i < rows and j < cols; any other index raises
-    IndexOutOfRange.  A Toeplitz entry is fhat(i - j) + sum_k u_k(i) v_k(j);
-    reading fhat raises MissingSplit when the symbol needs a split it lacks.
+    IndexOutOfRange.  A Toeplitz entry is fhat(i - j) + sum_k u_k(i) v_k(j),
+    summed as one dot product that starts at fhat(i - j) and is reduced
+    once; reading fhat raises MissingSplit when the symbol needs a split it
+    lacks.
 
     Between calls, op_entry keeps the values it read from the last Toeplitz
     block it was called on (by identity): u_k(i) per row i, v_k(j) per column
@@ -309,16 +311,15 @@ def op_entry(a: BlockOperator, block_index: int, i: int, j: int) -> GaussianRati
         raise IndexOutOfRange(f"block {block_index} of {len(a.blocks)}")
     block = a.blocks[block_index]
     if isinstance(block, ToeplitzBlock):
+        if i < 0 or j < 0:
+            raise IndexOutOfRange(f"({i},{j}) has a negative index")
         reads = _last_reads
         if reads.block is not block:
             reads = _last_reads = _BlockReads(block)
-        corr = _entry_sum(block.correction, i, j, reads.rows, reads.cols)  # raises on a negative index
-        if block.symbol.is_zero():
-            return corr
         base = reads.diagonals.get(i - j)
         if base is None:
             base = reads.diagonals[i - j] = fourier_coeff(block.symbol, i - j)
-        return base if corr.is_zero() else base + corr
+        return _entry_sum(block.correction, i, j, reads.rows, reads.cols, base)
     if not (0 <= i < block.m.rows and 0 <= j < block.m.cols):
         raise IndexOutOfRange(f"({i},{j}) outside {block.m.rows}x{block.m.cols} block")
     return block.m.at(i, j)

@@ -166,6 +166,25 @@ ONE = gr(1)
 I = gr(0, 1)
 
 
+def _dot(pairs, total: GaussianRational = ZERO) -> GaussianRational:
+    """total + sum of x*y over the (x, y) in pairs, reduced once.
+
+    The running sum is a Gaussian integer a + b*i over the lcm d of the
+    denominators seen so far, so a product costs integer arithmetic and
+    no reduction of its own (Knuth, TAOCP vol. 2, 4.5.1).
+    """
+    a, b, d = total
+    for (p, q, e), (r, s, f) in pairs:
+        m = e * f
+        if m == d:
+            a, b = a + p * r - q * s, b + p * s + q * r
+            continue
+        g = gcd(d, m)  # move the sum to lcm(d, m)
+        k, l = d // g, m // g
+        a, b, d = a * l + (p * r - q * s) * k, b * l + (p * s + q * r) * k, d * l
+    return _reduced(a, b, d)
+
+
 def _frac_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)

@@ -41,6 +41,9 @@ A matrix Drazin inverse is kept as the Fitting decomposition the library
 once built: a basis of range(A^k) beside one of ker(A^k), the core block
 inverted in that basis and conjugated back.  The library reads A^k X A^k
 off one row reduction of [A^(2k+1) | I] instead.
+
+The ordinary inverse of a matrix, which the library no longer needs, is
+kept as the row reduction of [A | I].
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ from math import comb
 
 from bfredholm.engine import FREDHOLM_CLASSES, SCAN_DIRECTIONS, ScanReport, ScanRow, _class_and_index
 from bfredholm.finiterank import FiniteRankOperator, make_finite_rank
-from bfredholm.matrices import ExactMatrix, _rref, identity, inverse, matrix, rank, zeros
+from bfredholm.errors import ExactError
+from bfredholm.matrices import ExactMatrix, _rref, identity, matrix, rank, zeros
 from bfredholm.operators import (
     BlockOperator,
     hankel_defect,
@@ -302,6 +306,17 @@ def _column_space(A: ExactMatrix) -> list[list[GaussianRational]]:
 def _from_columns(cols: list[list[GaussianRational]]) -> ExactMatrix:
     n = len(cols[0])
     return ExactMatrix(n, len(cols), tuple(cols[j][i] for i in range(n) for j in range(len(cols))))
+
+
+def inverse(A: ExactMatrix) -> ExactMatrix:
+    """A^-1 from one row reduction of [A | I]; ExactError if A is singular."""
+    A._square()
+    n = A.rows
+    aug = [A.row(i) + identity(n).row(i) for i in range(n)]
+    rows, pivots = _rref(aug)
+    if pivots != list(range(n)):
+        raise ExactError("matrix is singular")
+    return ExactMatrix(n, n, tuple(rows[i][n + j] for i in range(n) for j in range(n)))
 
 
 def drazin_reference(A: ExactMatrix) -> tuple[ExactMatrix, int]:

@@ -11,12 +11,12 @@ import time
 from fractions import Fraction
 
 from astgen import random_ast
+from references import inverse
 from bfredholm import cli
 from bfredholm.dsl import parse, pretty
 from bfredholm.finiterank import trace
 from bfredholm.matrices import (
     drazin,
-    inverse,
     jordan_nilpotent,
     matrix,
     rank,

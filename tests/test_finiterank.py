@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import random
 
+from bfredholm import finiterank
 from bfredholm.finiterank import (
     fr_entry,
     fr_equal,
@@ -10,7 +11,7 @@ from bfredholm.finiterank import (
     outer,
     trace,
 )
-from bfredholm.scalars import GaussianRational, gr
+from bfredholm.scalars import gr
 from bfredholm.sequences import SEQ_ZERO, RationalSequence, pairing, seq_basis, seq_finite, seq_geo
 from references import compose_reference, fr_entry_reference, random_finite_rank, random_sequence
 
@@ -131,25 +132,25 @@ def test_fr_entry_reads_v_only_where_u_is_nonzero(monkeypatch):
 
 
 def test_fr_entry_multiplies_only_nonzero_pairs(monkeypatch):
-    # finite heads only, so every product counted is one fr_entry made
+    # the entry sum hands one pair to the dot product per nonzero u_k(i) v_k(j)
     F = make_finite_rank([
         (seq_finite([0, 1, 0, 2]), seq_finite([3, 0, gr(0, 1)])),
         (seq_finite([5, 0, 0, 1]), seq_finite([0, 0, 4])),
     ])
-    products = []
-    mul = GaussianRational.__mul__
+    handed = []
+    dot = finiterank._dot
 
-    def counting_mul(self, other):
-        products.append((self, other))
-        return mul(self, other)
+    def recording_dot(pairs, total):
+        handed.extend(pairs)
+        return dot(pairs, total)
 
-    monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
+    monkeypatch.setattr(finiterank, "_dot", recording_dot)
     for i in range(5):
         for j in range(4):
-            products.clear()
-            fr_entry(F, i, j)
+            handed.clear()
+            assert fr_entry(F, i, j) == fr_entry_reference(F, i, j)
             pairs = [(u.value(i), v.value(j)) for u, v in F.terms]
-            assert len(products) == sum(not a.is_zero() and not b.is_zero() for a, b in pairs)
+            assert handed == [(a, b) for a, b in pairs if not a.is_zero() and not b.is_zero()], (i, j)
 
 
 def test_compose_matches_the_double_loop():

@@ -7,7 +7,6 @@ from bfredholm.matrices import (
     charpoly,
     drazin,
     identity,
-    inverse,
     is_nilpotent,
     jordan_nilpotent,
     matrix,
@@ -17,7 +16,7 @@ from bfredholm.matrices import (
 )
 from bfredholm.scalars import gr
 
-from references import drazin_reference
+from references import drazin_reference, inverse
 
 
 def _rand_matrix(rng, n):

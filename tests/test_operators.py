@@ -11,7 +11,7 @@ from bfredholm.dsl import evaluate, parse
 from bfredholm.engine import analyze
 from bfredholm.errors import IndexOutOfRange, MissingSplit, SignatureMismatch
 from bfredholm.finiterank import FR_ZERO, fr_entry, fr_equal, fr_is_zero, make_finite_rank, outer, trace
-from bfredholm import operators
+from bfredholm import operators, scalars
 from bfredholm.matrices import jordan_nilpotent, matrix
 from bfredholm.operators import (
     MatrixBlock,
@@ -470,6 +470,34 @@ def test_a_window_reads_each_row_column_and_diagonal_once(monkeypatch):
     # u_k(i) once per row, v_k(j) at most once per column, and one
     # expansion value per diagonal
     assert len(value_reads) <= 2 * n * terms + 2 * n - 1
+
+
+def test_a_second_window_read_reduces_at_most_once_per_entry(monkeypatch):
+    # every value is kept after the first read, so an entry is one dot
+    # product and at most one gcd reduction
+    ops = [evaluate(parse(text)) for text in WINDOW_OPERATORS]
+    reductions = []
+    reduced = scalars._reduced
+
+    def counting_reduced(a, b, d):
+        reductions.append(d)
+        return reduced(a, b, d)
+
+    n = 9
+    for op in ops:
+        for block, b in enumerate(op.blocks):
+            if not isinstance(b, ToeplitzBlock):
+                continue
+            want = [[_entry_reference(op, block, i, j) for j in range(n)] for i in range(n)]
+            assert [[op_entry(op, block, i, j) for j in range(n)] for i in range(n)] == want
+            monkeypatch.setattr(scalars, "_reduced", counting_reduced)
+            for i in range(n):
+                for j in range(n):
+                    reductions.clear()
+                    got = op_entry(op, block, i, j)
+                    assert len(reductions) <= 1, (block, i, j)
+                    assert got == want[i][j], (block, i, j)
+            monkeypatch.setattr(scalars, "_reduced", reduced)
 
 
 def test_window_reads_from_many_threads_agree():

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from bfredholm.errors import DivisionByZero
 from bfredholm.scalars import (
     GaussianRational,
+    _dot,
     format_scalar,
     gaussian_sqrt,
     gr,
@@ -210,3 +212,55 @@ def test_canonical_form_examples():
     assert tuple(gr(Fraction(2, 4), Fraction(-6, 4))) == (1, -3, 2)
     # (1+i)/2 squared is 2i/4; the reduction happens after the power
     assert tuple(gr(Fraction(1, 2), Fraction(1, 2)) ** 2) == (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# _dot: a sum of products over one common denominator, reduced once
+# ---------------------------------------------------------------------------
+
+
+def _fold(pairs, total=gr(0)):
+    for x, y in pairs:
+        total = total + x * y
+    return total
+
+
+def _dot_scalar(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return gr(0)
+    if kind == 1:  # purely imaginary
+        return gr(0, Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+    if kind == 2:  # large, coprime denominators
+        return gr(Fraction(rng.randint(-10**30, 10**30), rng.choice((10**18 + 9, 2**61 - 1, 3**37))),
+                  Fraction(rng.randint(-10**20, 10**20), rng.choice((7**23, 10**18 + 3))))
+    if kind == 3:  # a denominator shared with many others
+        return gr(Fraction(rng.randint(-9, 9), 12), Fraction(rng.randint(-9, 9), 12))
+    return gr(Fraction(rng.randint(-9, 9), rng.randint(1, 12)), Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+
+
+def test_dot_matches_the_left_fold():
+    rng = random.Random(24)
+    for _ in range(2000):
+        pairs = [(_dot_scalar(rng), _dot_scalar(rng)) for _ in range(rng.randint(0, 6))]
+        start = _dot_scalar(rng)
+        for got, want in ((_dot(pairs), _fold(pairs)), (_dot(pairs, start), _fold(pairs, start))):
+            assert got == want, pairs
+            assert is_canonical(got), pairs
+
+
+def test_dot_edge_cases():
+    half, third = gr(Fraction(1, 2)), gr(Fraction(1, 3))
+    x = gr(Fraction(2, 3), Fraction(-5, 7))
+    assert tuple(_dot([])) == (0, 0, 1)
+    assert _dot([], x) == x and is_canonical(_dot([], x))
+    assert _dot([(gr(0), x), (x, gr(0))], x) == x
+    # equal and coprime denominators
+    assert _dot([(half, half), (half, half)]) == half
+    assert _dot([(half, third), (third, half)]) == third
+    # purely imaginary factors: i/2 * i/3 = -1/6
+    assert tuple(_dot([(gr(0, Fraction(1, 2)), gr(0, Fraction(1, 3)))])) == (-1, 0, 6)
+    # sums that cancel to zero, with and without a start value
+    assert tuple(_dot([(x, half), (-x, half)])) == (0, 0, 1)
+    assert tuple(_dot([(x, gr(-1))], x)) == (0, 0, 1)
+    assert tuple(_dot([(half, half), (gr(0, Fraction(1, 2)), gr(0, Fraction(1, 2)))])) == (0, 0, 1)

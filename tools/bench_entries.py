@@ -12,7 +12,8 @@ change) are timed under the same load:
 
 - ``op_entry_window_ms``: one n x n window of block 0 of ``PRODUCT``, read
   entry by entry with ``op_entry`` on a freshly evaluated operator, for
-  n = 8, 16, 32 (in-process wall time, parse and evaluate not timed);
+  n = 8, 16, 32 (in-process wall time, parse and evaluate not timed; the
+  median of ``PASSES`` reads, each of a new operator);
 - ``verify_windows_s``: ``bfredholm verify --suite windows``;
 - ``entries_200_s``: ``bfredholm entries PRODUCT --rows 200 --cols 200``,
   with the SHA-256 of its output so that outputs can be compared;
@@ -23,14 +24,17 @@ change) are timed under the same load:
 - ``verify_punctured_s``: ``bfredholm verify --suite punctured``;
 - ``analyze_split_ms``: parse, evaluate and ``analyze`` of each operator of
   ``SPLIT_OPERATORS``, a fixed seeded list of products and sums of split
-  symbols, in process; the mean per operator over one pass, after a pass
-  that warms the interpreter up;
+  symbols, in process; the mean per operator over one pass, as the median
+  of ``PASSES`` passes after one that warms the interpreter up;
 - ``layers``: from the same process, in-process time per call of
   ``from_roots`` (``from_roots_us``, on the roots of those operators'
   symbols), ``Polynomial(...)`` of three coefficients
   (``polynomial_us``), ``laurent_expansion`` of a fresh split symbol
-  (``laurent_expansion_us``), and ``_drazin_witness`` and ``index_trace``
-  per operator (``drazin_witness_ms``, ``index_trace_ms``); also
+  (``laurent_expansion_us``), ``op_entry`` per entry of a 16 x 16 window of
+  ``PRODUCT`` that was read once before, so that only the entry sum is
+  timed (``entry_sum_us``), and ``_drazin_witness`` and ``index_trace``
+  per operator (``drazin_witness_ms``, ``index_trace_ms``, each the median
+  of ``PASSES`` passes over freshly evaluated operators); also
   ``_drazin_witness`` per operator of ``MATRIX_OPERATORS``, a fixed seeded
   list of split symbols beside 2 x 2 and 3 x 3 nilpotent, invertible and
   mixed matrix blocks (``drazin_witness_matrix_ms``), and ``drazin`` per
@@ -68,6 +72,7 @@ PRODUCT = (
     " * (T((z-2)/(z-1/3)) + FR{geo(1/3) | geo(-1/4)})"
 )
 WINDOW_SIDES = (8, 16, 32)
+PASSES = 5  # in-process passes per sample; a sample is their median
 
 
 def _dense_40() -> str:
@@ -151,20 +156,21 @@ SPLIT16 = "T((z-1/2)^16/(z-3)^16)"
 POWER_20 = "T(((z^3+z+5)/(z^2-3))^20)"
 
 SPLIT_TIMER = """
-import json, sys, time
+import json, statistics, sys, time
 from bfredholm.dsl import evaluate, parse
 from bfredholm.engine import _drazin_witness, analyze, index_trace
 from bfredholm.matrices import drazin
-from bfredholm.operators import MatrixBlock, ToeplitzBlock
+from bfredholm.operators import MatrixBlock, ToeplitzBlock, op_entry
 from bfredholm.poly import Polynomial, from_roots
 from bfredholm.scalars import ONE, gr
 from bfredholm.symbols import laurent_expansion, make_factored
-texts = json.loads(sys.argv[1])
-for _ in range(2):  # the first pass warms the interpreter up
+texts, passes = json.loads(sys.argv[1]), int(sys.argv[4])
+analyze_ms = []
+for _ in range(passes + 1):  # the first pass warms the interpreter up
     start = time.perf_counter()
     for t in texts:
         analyze(evaluate(parse(t)))
-    analyze_ms = (time.perf_counter() - start) * 1e3 / len(texts)
+    analyze_ms.append((time.perf_counter() - start) * 1e3 / len(texts))
 ops = [evaluate(parse(t)) for t in texts]
 symbols = [b.symbol for a in ops for b in a.blocks if isinstance(b, ToeplitzBlock) and b.symbol.split]
 splits = [f.split for f in symbols]
@@ -177,28 +183,36 @@ def per_call(fn, args, reps):
             fn(*a)
     return (time.perf_counter() - start) / (reps * len(args))
 
-witness_s = trace_s = 0.0
-for a in ops:
-    start = time.perf_counter()
-    w = _drazin_witness(a, "drazin")
-    mid = time.perf_counter()
-    index_trace(a, w)
-    witness_s += mid - start
-    trace_s += time.perf_counter() - mid
+witness_ms, trace_ms = [], []
+for _ in range(passes):
+    witness_s = trace_s = 0.0
+    for a in [evaluate(parse(t)) for t in texts]:
+        start = time.perf_counter()
+        w = _drazin_witness(a, "drazin")
+        mid = time.perf_counter()
+        index_trace(a, w)
+        witness_s += mid - start
+        trace_s += time.perf_counter() - mid
+    witness_ms.append(witness_s * 1e3 / len(texts))
+    trace_ms.append(trace_s * 1e3 / len(texts))
 matrix_ops = [evaluate(parse(t)) for t in json.loads(sys.argv[2])]
 witness_args = [(a, "drazin") for a in matrix_ops]
 per_call(_drazin_witness, witness_args, 1)  # warms the interpreter up
 matrices = [(b.m,) for a in matrix_ops for b in a.blocks if isinstance(b, MatrixBlock)]
 coeffs = (gr(1, 2), gr(3), gr(0, -1))
 fresh = [(make_factored(gr(2), 0, s.zeros, s.poles),) for s in splits * 20]
+product = evaluate(parse(sys.argv[3]))
+window = [(product, 0, i, j) for i in range(16) for j in range(16)]
+per_call(op_entry, window, 1)  # the first read keeps every value the entries need
 print(json.dumps({
-    "analyze_split_ms": analyze_ms,
+    "analyze_split_ms": statistics.median(analyze_ms[1:]),
     "layers": {
         "from_roots_us": per_call(from_roots, roots, 50) * 1e6,
         "polynomial_us": per_call(Polynomial, [(coeffs,)] * 1000, 100) * 1e6,
         "laurent_expansion_us": per_call(laurent_expansion, fresh, 1) * 1e6,
-        "drazin_witness_ms": witness_s * 1e3 / len(ops),
-        "index_trace_ms": trace_s * 1e3 / len(ops),
+        "entry_sum_us": per_call(op_entry, window, 20) * 1e6,
+        "drazin_witness_ms": statistics.median(witness_ms),
+        "index_trace_ms": statistics.median(trace_ms),
         "drazin_witness_matrix_ms": per_call(_drazin_witness, witness_args, 5) * 1e3,
         "drazin_us": per_call(drazin, matrices, 20) * 1e6,
     },
@@ -206,19 +220,21 @@ print(json.dumps({
 """
 
 WINDOW_TIMER = """
-import json, sys, time
+import json, statistics, sys, time
 from bfredholm.dsl import evaluate, parse
 from bfredholm.operators import op_entry
-text, sides = sys.argv[1], json.loads(sys.argv[2])
+text, sides, passes = sys.argv[1], json.loads(sys.argv[2]), int(sys.argv[3])
 out = {}
 for n in sides:
-    for _ in range(2):  # the first read warms the interpreter up
+    ms = []
+    for _ in range(passes + 1):  # the first read warms the interpreter up
         op = evaluate(parse(text))
         start = time.perf_counter()
         for i in range(n):
             for j in range(n):
                 op_entry(op, 0, i, j)
-        out[n] = (time.perf_counter() - start) * 1e3
+        ms.append((time.perf_counter() - start) * 1e3)
+    out[n] = statistics.median(ms[1:])
 print(json.dumps(out))
 """
 
@@ -258,10 +274,11 @@ def measure(sides: dict[str, Path], repeat: int) -> dict:
     split = {label: {} for label in sides}
     for _ in range(repeat):
         for label, src in sides.items():
-            _, stdout = _run(src, ["-c", WINDOW_TIMER, PRODUCT, json.dumps(WINDOW_SIDES)])
+            _, stdout = _run(src, ["-c", WINDOW_TIMER, PRODUCT, json.dumps(WINDOW_SIDES), str(PASSES)])
             for n, ms in json.loads(stdout).items():
                 windows[label].setdefault(f"n={n}", []).append(ms)
-            _, stdout = _run(src, ["-c", SPLIT_TIMER, json.dumps(SPLIT_OPERATORS), json.dumps(MATRIX_OPERATORS)])
+            _, stdout = _run(src, ["-c", SPLIT_TIMER, json.dumps(SPLIT_OPERATORS), json.dumps(MATRIX_OPERATORS),
+                                   PRODUCT, str(PASSES)])
             out = json.loads(stdout)
             split[label].setdefault("analyze_split_ms", []).append(out["analyze_split_ms"])
             for name, value in out["layers"].items():
@@ -314,6 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         "matrix_operators": MATRIX_OPERATORS,
         "power_20": POWER_20,
         "repeat": args.repeat,
+        "passes": PASSES,
         "sides": measure(sides, args.repeat),
     }
     text = json.dumps(result, indent=2) + "\n"

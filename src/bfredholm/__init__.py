@@ -6,7 +6,7 @@ index computed two independent ways: the trace of the commutator
 against a Drazin witness, and minus the sum of symbol winding numbers.
 """
 
-from .scalars import GaussianRational, gr, format_scalar, parse_scalar
+from .scalars import GaussianRational, gr, format_scalar
 from .poly import Polynomial, poly
 from .rootloc import count_zeros_in_disk, has_zero_on_circle
 from .sequences import (
@@ -66,7 +66,7 @@ from .engine import (
     verify_power_law,
     verify_well_defined,
 )
-from .dsl import evaluate, parse, pretty
+from .dsl import evaluate, parse, parse_scalar, pretty
 
 __version__ = "0.1.0"
 

@@ -15,17 +15,20 @@ Grammar (EBNF):
     sfactor := satom ('^' signed-int)? | '-' sfactor
     satom   := 'z' | scalar | '(' symexpr ')'
 
-Scalars are exact Gaussian rationals like 2, -1/4, 3i, 1/2+1/2i
-(parenthesized when used as a leading coefficient).  Constant symbol
-subexpressions are folded during parsing, so pretty-printing and
-re-parsing reproduce the AST exactly.  geo(r; d) denotes the sequence
-n^d * r^n.
+The text is ASCII; any other character outside whitespace is a parse
+error.  Scalars are exact Gaussian rationals like 2, -1/4, 3i, 1/2+1/2i
+(parenthesized when used as a leading coefficient), and parse_scalar
+reads one such literal.  Constant symbol subexpressions are folded
+during parsing, so pretty-printing and re-parsing reproduce the AST
+exactly.  geo(r; d) denotes the sequence n^d * r^n.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, ParseError, SignatureMismatch
 from .finiterank import make_finite_rank
@@ -59,65 +62,37 @@ from .poly import poly
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'int', 'id', 'punct', 'dsum', 'eof'
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the text
 
 
-_PUNCT = set("+-*/^()[]{},;|")
+# The grammar is ASCII.  finditer skips whitespace, and any other
+# character is a 'bad' token, which tokenize rejects.
+_TOKEN = re.compile(
+    r"(?P<dsum>\(\+\+\))|(?P<int>[0-9]+)|(?P<id>[A-Za-z]+)"
+    r"|(?P<punct>[-+*/^()\[\]{},;|])|(?P<bad>\S)"
+)
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset pos in text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def tokenize(text: str) -> list[Token]:
     out = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if text.startswith("(++)", i):
-            out.append(Token("dsum", "(++)", line, col))
-            i += 4
-            col += 4
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j - i > MAX_LITERAL_DIGITS:
-                raise BudgetExceeded(
-                    "integer literal of length", j - i, "MAX_LITERAL_DIGITS", MAX_LITERAL_DIGITS
-                )
-            out.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            out.append(Token("id", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            out.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("eof", "", line, col))
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", *_line_col(text, m.start()))
+        if kind == "int" and len(tok) > MAX_LITERAL_DIGITS:
+            raise BudgetExceeded(
+                "integer literal of length", len(tok), "MAX_LITERAL_DIGITS", MAX_LITERAL_DIGITS
+            )
+        out.append(Token(kind, tok, m.start()))
+    out.append(Token("eof", "", len(text)))
     return out
 
 
@@ -265,8 +240,9 @@ def _nested(step):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
         self.pos = 0
         self.depth = 0
 
@@ -282,18 +258,31 @@ class _Parser:
     def expect(self, text: str) -> Token:
         t = self.peek()
         if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}", t.line, t.col)
+            self.fail(f"expected {text!r}, found {t.text or 'end of input'!r}")
         return self.next()
 
-    def fail(self, msg: str):
+    def fail(self, msg: str, at: Token | None = None):
+        """Raise ParseError at token at, by default the next one."""
+        raise ParseError(msg, *_line_col(self.text, (at or self.peek()).pos))
+
+    def items(self, item, sep: str) -> list:
+        """item (sep item)*"""
+        out = [item()]
+        while self.peek().text == sep:
+            self.next()
+            out.append(item())
+        return out
+
+    def end(self) -> None:
         t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+        if t.kind != "eof":
+            self.fail(f"unexpected trailing input {t.text!r}")
 
     # -- scalars ----------------------------------------------------------
 
-    def at_scalar(self) -> bool:
-        t = self.peek()
-        return t.kind == "int" or (t.kind == "id" and t.text == "i")
+    def at_scalar(self, ahead: int = 0) -> bool:
+        t = self.peek(ahead)
+        return t.kind == "int" or t.text == "i"
 
     def parse_scalar(self) -> GaussianRational:
         """Full scalar literal: [-] part [('+'|'-') imag], part = a[/b][i] | i,
@@ -309,17 +298,12 @@ class _Parser:
             return first + second
         return first
 
-    def _part_ahead(self, k: int) -> bool:
-        t = self.peek(k)
-        return t.kind == "int" or (t.kind == "id" and t.text == "i")
-
     def _imaginary_ahead(self) -> bool:
         """A part a[/b]i or i follows the sign at peek()."""
         k = 1
         if self.peek(k).kind == "int":
             k += 3 if self.peek(k + 1).text == "/" and self.peek(k + 2).kind == "int" else 1
-        t = self.peek(k)
-        return t.kind == "id" and t.text == "i"
+        return self.peek(k).text == "i"
 
     def _scalar_part(self, allow_sign: bool) -> GaussianRational:
         sign = 1
@@ -327,7 +311,7 @@ class _Parser:
             self.next()
             sign = -1
         t = self.peek()
-        if t.kind == "id" and t.text == "i":
+        if t.text == "i":
             self.next()
             return gr(0, sign)
         if t.kind != "int":
@@ -339,9 +323,9 @@ class _Parser:
             self.next()
             denom = int(self.next().text)
             if denom == 0:
-                raise ParseError("zero denominator in scalar", t.line, t.col)
+                self.fail("zero denominator in scalar", t)
         q = Fraction(sign * numer, denom)
-        if self.peek().kind == "id" and self.peek().text == "i":
+        if self.peek().text == "i":
             self.next()
             return gr(0, q)
         return gr(q)
@@ -379,7 +363,7 @@ class _Parser:
     def parse_sfactor(self) -> SymNode:
         t = self.peek()
         if t.text == "-":
-            if self._part_ahead(1):
+            if self.at_scalar(1):
                 # Signed scalar literal, e.g. "-3/4-1/2i"; let parse_scalar
                 # apply the sign to the first part only.
                 node = SConst(self.parse_scalar())
@@ -398,7 +382,7 @@ class _Parser:
 
     def parse_satom(self) -> SymNode:
         t = self.peek()
-        if t.kind == "id" and t.text == "z":
+        if t.text == "z":
             self.next()
             return SVar()
         if self.at_scalar():
@@ -414,20 +398,17 @@ class _Parser:
 
     def parse_seq(self) -> SeqNode:
         t = self.peek()
-        if t.kind == "id" and t.text == "fin":
+        if t.text == "fin":
             self.next()
             self.expect("[")
-            values = [self.parse_scalar()]
-            while self.peek().text == ",":
-                self.next()
-                values.append(self.parse_scalar())
+            values = self.items(self.parse_scalar, ",")
             self.expect("]")
             if len(values) - 1 > MAX_SEQ_INDEX:
                 raise BudgetExceeded(
                     "last index of a fin list", len(values) - 1, "MAX_SEQ_INDEX", MAX_SEQ_INDEX
                 )
             return FinSeq(tuple(values))
-        if t.kind == "id" and t.text == "geo":
+        if t.text == "geo":
             self.next()
             self.expect("(")
             ratio = self.parse_scalar()
@@ -436,17 +417,14 @@ class _Parser:
                 self.next()
                 degree = self.parse_int()
                 if degree < 0:
-                    raise ParseError("geo degree must be >= 0", t.line, t.col)
+                    self.fail("geo degree must be >= 0", t)
                 if degree > MAX_GEO_DEGREE:
                     raise BudgetExceeded("geo degree", degree, "MAX_GEO_DEGREE", MAX_GEO_DEGREE)
             self.expect(")")
             if ratio.abs2() >= 1:
-                raise ParseError(
-                    f"geo ratio {format_scalar(ratio)} is not inside the unit circle",
-                    t.line, t.col,
-                )
+                self.fail(f"geo ratio {format_scalar(ratio)} is not inside the unit circle", t)
             return GeoSeq(ratio, degree)
-        if t.kind == "id" and t.text == "e":
+        if t.text == "e":
             self.next()
             idx = self.peek()
             if idx.kind != "int":
@@ -460,10 +438,7 @@ class _Parser:
 
     def parse_matrix(self) -> MatrixAtom:
         self.expect("[")
-        rows = [self._parse_matrix_row()]
-        while self.peek().text == ",":
-            self.next()
-            rows.append(self._parse_matrix_row())
+        rows = self.items(self._parse_matrix_row, ",")
         self.expect("]")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
@@ -474,34 +449,28 @@ class _Parser:
 
     def _parse_matrix_row(self) -> tuple[GaussianRational, ...]:
         self.expect("[")
-        out = [self.parse_scalar()]
-        while self.peek().text == ",":
-            self.next()
-            out.append(self.parse_scalar())
+        row = self.items(self.parse_scalar, ",")
         self.expect("]")
-        return tuple(out)
+        return tuple(row)
 
     def parse_atom(self) -> OpNode:
         t = self.peek()
-        if t.kind == "id" and t.text == "T":
+        if t.text == "T":
             self.next()
             self.expect("(")
             sym = self.parse_symexpr()
             self.expect(")")
             return TAtom(sym)
-        if t.kind == "id" and t.text == "I":
+        if t.text == "I":
             self.next()
             return IdentityAtom()
-        if t.kind == "id" and t.text == "FR":
+        if t.text == "FR":
             self.next()
             self.expect("{")
-            pairs = [self._parse_pair()]
-            while self.peek().text == ";":
-                self.next()
-                pairs.append(self._parse_pair())
+            pairs = self.items(self._parse_pair, ";")
             self.expect("}")
             return FRAtom(tuple(pairs))
-        if t.kind == "id" and t.text == "M":
+        if t.text == "M":
             self.next()
             return self.parse_matrix()
         self.fail("expected an operator atom (T, I, FR, or M)")
@@ -559,13 +528,8 @@ class _Parser:
         return node
 
     def parse_program(self) -> OpNode:
-        parts = [self.parse_expr()]
-        while self.peek().kind == "dsum":
-            self.next()
-            parts.append(self.parse_expr())
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+        parts = self.items(self.parse_expr, "(++)")
+        self.end()
         return DirectSum(tuple(parts)) if len(parts) > 1 else parts[0]
 
 
@@ -615,11 +579,20 @@ def _height(node) -> int:
 
 
 def parse(text: str) -> OpNode:
-    ast = _Parser(tokenize(text)).parse_program()
+    ast = _Parser(text).parse_program()
     if _height(ast) > MAX_HEIGHT:
         raise ParseError(f"expression tree more than {MAX_HEIGHT} levels high", 1, 1)
     check_signature(ast)
     return ast
+
+
+def parse_scalar(text: str) -> GaussianRational:
+    """The scalar literal that format_scalar writes, e.g. ``3``, ``-1/2``,
+    ``i``, ``2i`` or ``1/2-1/2i``, read by the DSL's own scalar rule."""
+    p = _Parser(text)
+    c = p.parse_scalar()
+    p.end()
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ reduced once at the end.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 from .errors import ZeroPolynomial
@@ -237,19 +238,9 @@ def from_roots(scale: GaussianRational, roots: Sequence[tuple[GaussianRational, 
 
 def binom_poly(k: int) -> Polynomial:
     """C(n, k) as a polynomial in n: n(n-1)...(n-k+1)/k!."""
-    out = P_ONE
-    fact = 1
-    for j in range(k):
-        out = out * poly([-j, 1])
-        fact *= j + 1
-    return out.scale(gr(Fraction(1, fact)))
+    return from_roots(gr(Fraction(1, factorial(k))), [(gr(j), 1) for j in range(k)])
 
 
 def rising_binom_poly(k: int) -> Polynomial:
     """C(n+k, k) as a polynomial in n: (n+1)...(n+k)/k!."""
-    out = P_ONE
-    fact = 1
-    for j in range(1, k + 1):
-        out = out * poly([j, 1])
-        fact *= j
-    return out.scale(gr(Fraction(1, fact)))
+    return from_roots(gr(Fraction(1, factorial(k))), [(gr(-j), 1) for j in range(1, k + 1)])

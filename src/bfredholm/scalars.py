@@ -14,11 +14,10 @@ same time.  The real and imaginary parts ``.re`` and ``.im`` are derived
 
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import DivisionByZero, ParseError
+from .errors import DivisionByZero
 
 RationalLike = int | Fraction
 
@@ -201,32 +200,6 @@ def format_scalar(a: GaussianRational) -> str:
     if a.re == 0:
         return im_part if a.im > 0 else f"-{im_part}"
     return f"{_frac_str(a.re)}{sign}{im_part}"
-
-
-_SCALAR_RE = _re.compile(
-    r"^(?P<s1>[+-])?"
-    r"(?:(?P<b1>\d+(?:/\d+)?)?i"
-    r"|(?P<a>\d+(?:/\d+)?)(?:(?P<s2>[+-])(?P<b2>\d+(?:/\d+)?)?i)?)$"
-)
-
-
-def parse_scalar(text: str) -> GaussianRational:
-    """Parse strings like ``3``, ``-1/2``, ``i``, ``2i``, ``1/2-1/2i``."""
-    m = _SCALAR_RE.match(text.replace(" ", ""))
-    if not m:
-        raise ParseError(f"bad scalar literal {text!r}", 1, 1)
-    sign1 = -1 if m.group("s1") == "-" else 1
-    if m.group("a") is None:
-        # pure imaginary: [s1] [b1] i
-        mag = Fraction(m.group("b1")) if m.group("b1") else Fraction(1)
-        return GaussianRational(Fraction(0), sign1 * mag)
-    re_part = sign1 * Fraction(m.group("a"))
-    im_part = Fraction(0)
-    if m.group("s2") is not None:
-        sign2 = -1 if m.group("s2") == "-" else 1
-        mag = Fraction(m.group("b2")) if m.group("b2") else Fraction(1)
-        im_part = sign2 * mag
-    return GaussianRational(re_part, im_part)
 
 
 def _frac_sqrt(q: Fraction) -> Fraction | None:

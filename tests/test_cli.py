@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,8 @@ import bfredholm
 from bfredholm import suites
 from bfredholm.cli import main
 from bfredholm.errors import ExactError
-from bfredholm.dsl import MAX_HEIGHT
+from bfredholm.dsl import MAX_HEIGHT, pretty
+from astgen import random_ast
 
 
 def run(capsys, *argv):
@@ -81,6 +83,38 @@ def test_parse_error_exit_1(capsys):
     code, _, err = run(capsys, "analyze", "T(z")
     assert code == 1
     assert "parse error" in err
+
+
+# every character of the grammar, two non-ASCII digits, a non-ASCII
+# letter and a newline
+_MUTATION_CHARS = "0123456789zTIFRMfingeo+-*/^()[]{},;| \u00b2\u0663\u00e9\n"
+
+
+def _mutant(seed):
+    """pretty(random_ast) with one character inserted, deleted or replaced."""
+    rng = random.Random(seed)
+    s = pretty(random_ast(rng))
+    i = rng.randrange(len(s))
+    edit = rng.choice(("insert", "delete", "replace"))
+    if edit == "delete":
+        return s[:i] + s[i + 1:]
+    c = rng.choice(_MUTATION_CHARS)
+    return s[:i] + c + s[i + (edit == "replace"):]
+
+
+def test_no_mutated_input_ends_in_a_traceback(capsys):
+    for seed in range(400):
+        text = _mutant(seed)
+        code = main(["index", text])
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), text
+
+
+@pytest.mark.parametrize("text, char", [("T(z^\u00b2)", "\u00b2"), ("T(z^\u0663)", "\u0663")])
+def test_non_ascii_digit_is_a_parse_error(capsys, text, char):
+    code, out, err = run(capsys, "index", text)
+    assert code == 1 and out == ""
+    assert err == f"parse error: unexpected character {char!r} at 1:5\n"
 
 
 def test_deep_nesting_is_a_parse_error(capsys):

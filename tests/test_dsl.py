@@ -1,10 +1,22 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from astgen import random_ast
-from bfredholm.dsl import MAX_HEIGHT, evaluate, parse, pretty
+from bfredholm.dsl import (
+    MAX_DEPTH,
+    MAX_HEIGHT,
+    BasisSeq,
+    FinSeq,
+    FRAtom,
+    evaluate,
+    parse,
+    parse_scalar,
+    pretty,
+)
 from bfredholm.errors import ParseError, SignatureMismatch
+from bfredholm.scalars import gr
 
 
 GOOD = [
@@ -60,6 +72,60 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse("T(z)\n+ Q")
     assert e.value.line == 2
+
+
+# one input per place in dsl.py that raises ParseError, with its message
+# and position
+PARSE_ERRORS = [
+    ("T(z) @ T(z)", "unexpected character '@' at 1:6"),
+    ("T(z^\u00b2)", "unexpected character '\u00b2' at 1:5"),
+    ("T(z^\u0663)", "unexpected character '\u0663' at 1:5"),
+    ("T(\u00e9)", "unexpected character '\u00e9' at 1:3"),
+    ("T(z", "expected ')', found 'end of input' at 1:4"),
+    ("T(z - 3/0)", "zero denominator in scalar at 1:7"),
+    ("FR{geo(1/2; -1) | e0}", "geo degree must be >= 0 at 1:4"),
+    ("FR{geo(1/2+i) | e0}", "geo ratio 1/2+i is not inside the unit circle at 1:4"),
+    ("T(z) T(z)", "unexpected trailing input 'T' at 1:6"),
+    ("(" * (MAX_DEPTH + 1) + "T(z)" + ")" * (MAX_DEPTH + 1),
+     f"expression nested more than {MAX_DEPTH} levels deep at 1:{MAX_DEPTH + 1}"),
+    ("T(" + " + ".join(["z"] * MAX_HEIGHT) + ")",
+     f"expression tree more than {MAX_HEIGHT} levels high at 1:1"),
+    ("FR{fin[1, z] | e0}", "expected a number at 1:11"),
+    ("T(z^z)", "expected an integer at 1:5"),
+    ("FR{e0 | e}", "expected a basis index after 'e' at 1:10"),
+    ("T(z * )", "expected 'z', a scalar, or '(' in symbol expression at 1:7"),
+    ("FR{e0 | T}", "expected a sequence ('fin', 'geo', or 'e') at 1:9"),
+    ("T(z)\n  + Q", "expected an operator atom (T, I, FR, or M) at 2:5"),
+    ("M[[1, 2], [3]]", "ragged matrix literal at 1:15"),
+    ("T(z)\n(++) M[[1, 2],\n  [3]]", "ragged matrix literal at 3:7"),
+    ("M[[1, 2]]", "matrix blocks must be square at 1:10"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS, ids=[m for _, m in PARSE_ERRORS])
+def test_parse_error_message(text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("5/0", "zero denominator in scalar at 1:1"),
+     ("+3", "expected a number at 1:1"),
+     ("1 2", "unexpected trailing input '2' at 1:3"),
+     ("1/2i-", "unexpected trailing input '-' at 1:5")],
+)
+def test_parse_scalar_rejects(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_scalar(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("text, value", [("0i-i", gr(0, -1)), ("-1/2-1/2i", gr(Fraction(-1, 2), Fraction(-1, 2)))])
+def test_parse_scalar_is_the_dsl_literal(text, value):
+    assert parse_scalar(text) == value
+    assert parse(f"FR{{fin[{text}] | e0}}") == FRAtom(((FinSeq((value,)), BasisSeq(0)),))
 
 
 @pytest.mark.parametrize(

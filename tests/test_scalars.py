@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from bfredholm.dsl import parse_scalar
 from bfredholm.errors import DivisionByZero
 from bfredholm.scalars import (
     GaussianRational,
@@ -14,7 +15,6 @@ from bfredholm.scalars import (
     format_scalar,
     gaussian_sqrt,
     gr,
-    parse_scalar,
 )
 
 fracs = st.fractions(

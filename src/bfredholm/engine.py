@@ -8,6 +8,13 @@ computed two independent ways — the trace of the commutator against a
 Drazin witness, and minus the sum of symbol winding numbers — and the
 two must agree.  analyze is the one runner of the two routes; the
 theorem verifiers read its reports.
+
+The trace route forms no operator product: index_trace sums two
+hankel_trace pairings per Toeplitz block (Helton and Howe 1973).
+verify_well_defined and the trace-axiom suite still form full products
+(_commutator_index, _commutator_trace): a perturbation a0 + j changes
+only what the pairings leave out, so only the product can show that the
+trace ignores it.  They are the product layer's cross-check.
 """
 
 from __future__ import annotations
@@ -33,7 +40,9 @@ from .operators import (
     BlockOperator,
     MatrixBlock,
     ToeplitzBlock,
+    _check_signature,
     embed_finite_rank,
+    hankel_trace,
     identity_like,
     op_arith,
     op_equal,
@@ -101,9 +110,9 @@ class DrazinWitness:
     decided: each is a tuple of symbol differences, one per Toeplitz block
     in block order.  A matrix block lies in the ideal whole, so it gets a
     witness and a Drazin index but no defect.  The certificate is that
-    every symbol difference is the zero symbol.  index_trace builds the
-    full commutator a*a0 - a0*a, matrix blocks included, and takes its
-    trace.
+    every symbol difference is the zero symbol.  index_trace reads only
+    the symbols of a and of the witness: two Hankel pairings per Toeplitz
+    block, with no commutator formed.
     """
 
     inverse: BlockOperator
@@ -184,10 +193,31 @@ def _commutator_index(a: BlockOperator, a0: BlockOperator) -> int:
 
 
 def index_trace(a: BlockOperator, witness: DrazinWitness | None = None) -> int:
-    """i(a) = tau(a a0 - a0 a) for a Drazin witness a0; exact integer."""
+    """i(a) = tau(a a0 - a0 a) for a Drazin witness a0; exact integer.
+
+    Summed block by block as W(g, f) - W(f, g), f the symbol of a, g that
+    of a0 and W = hankel_trace, as T(f)T(g) = T(fg) - H(f)H(g~).  A
+    finite-rank F has tau([F, X]) = 0, so corrections and matrix blocks add
+    nothing, and scalar symbols commute, so the formula holds for any a0 of
+    a's signature.  No product is formed.
+    """
     if witness is None:
         witness = drazin_witness(a)
-    return _commutator_index(a, witness.inverse)
+    _check_signature(a, witness.inverse)
+    pairs = []  # (block, W(g, f), W(f, g))
+    for k, (x, y) in enumerate(zip(a.blocks, witness.inverse.blocks)):
+        if isinstance(x, ToeplitzBlock):
+            # W(f, g) first: f is expanded before g, so a MissingSplit names
+            # the symbol that the product a a0 would
+            wfg = hankel_trace(x.symbol, y.symbol)
+            pairs.append((k, hankel_trace(y.symbol, x.symbol), wfg))
+    t = sum((wgf - wfg for _, wgf, wfg in pairs), ZERO)
+    if not t.is_rational_integer():
+        k, wgf, wfg = next(p for p in pairs if not (p[1] - p[2]).is_rational_integer())
+        raise NonIntegerTrace(
+            f"tau([a, a0]) = {t} is not an integer; block {k}: W(g, f) = {wgf}, W(f, g) = {wfg}"
+        )
+    return int(t.re)
 
 
 def index_winding(a: BlockOperator) -> int:

@@ -1,10 +1,15 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from astgen import random_ast
+from bfredholm import cli, engine
 from bfredholm.dsl import evaluate, parse
 from bfredholm.engine import (
+    _commutator_index,
+    _perturb_witness,
     FREDHOLM_CLASSES,
     SCAN_DIRECTIONS,
     analyze,
@@ -21,7 +26,16 @@ from bfredholm.engine import (
     verify_power_law,
     verify_well_defined,
 )
-from bfredholm.errors import BadScanGrid, MissingSplit, NotBezout, NotBFredholm, NotCommuting
+from bfredholm.errors import (
+    BadScanGrid,
+    ExactError,
+    MissingSplit,
+    NonIntegerTrace,
+    NotBezout,
+    NotBFredholm,
+    NotCommuting,
+    OracleMismatch,
+)
 from bfredholm.matrices import jordan_nilpotent, matrix
 from bfredholm.numeric import winding_oracle
 from bfredholm.operators import (
@@ -333,3 +347,74 @@ def test_verifiers_reject_not_in_class():
         verify_ideal_perturbation(a, random_ideal_element(random.Random(5)))
     with pytest.raises(NotBFredholm):
         verify_power_law(a, 2)
+
+
+# The trace route sums two Hankel pairings per Toeplitz block; the full
+# commutator _commutator_index is the reference it must equal.
+
+
+def _both_route_draws(count: int) -> list[BlockOperator]:
+    """The first ``count`` draws of astgen seed 5 that get both index routes."""
+    rng, draws = random.Random(5), []
+    while len(draws) < count:
+        try:
+            a = evaluate(random_ast(rng))
+        except ExactError:
+            continue
+        if analyze(a).index_trace is not None:
+            draws.append(a)
+    return draws
+
+
+def test_index_trace_is_the_trace_of_the_full_commutator():
+    rng = random.Random(30)
+    for a in _both_route_draws(150):
+        w = drazin_witness(a)
+        assert index_trace(a, w) == _commutator_index(a, w.inverse) == index_winding(a)
+        # a0 + j, and two a0 that are not witnesses: the formula holds for
+        # any a0 of a's signature
+        for a0 in (_perturb_witness(w.inverse, rng), op_scale(w.inverse, gr(3))):
+            assert index_trace(a, replace(w, inverse=a0)) == _commutator_index(a, a0)
+        scaled = op_scale(a, gr(-2))
+        assert index_trace(scaled, w) == _commutator_index(scaled, w.inverse) == -2 * index_winding(a)
+
+
+def test_a_wrong_pairing_is_an_oracle_mismatch(monkeypatch):
+    right = engine.hankel_trace
+    monkeypatch.setattr(engine, "hankel_trace", lambda f, g: -right(f, g))
+    with pytest.raises(OracleMismatch, match="index_trace=1 disagrees with index_winding=-1"):
+        analyze(TZ)
+
+
+def _half_on_call(monkeypatch, n: int) -> list:
+    """Adds 1/2 to the n-th hankel_trace value the engine reads; returns the values read."""
+    right, values = engine.hankel_trace, []
+
+    def forced(f, g):
+        values.append(right(f, g) + (gr(Fraction(1, 2)) if len(values) == n - 1 else gr(0)))
+        return values[-1]
+
+    monkeypatch.setattr(engine, "hankel_trace", forced)
+    return values
+
+
+NON_INTEGER = "T(z) (++) M[[0,1],[0,0]] (++) T((z-1/2)/(z-3))"
+
+
+def test_a_non_integer_pairing_names_its_block(monkeypatch):
+    # calls: W(f, g) and W(g, f) of block 0, then of block 2
+    values = _half_on_call(monkeypatch, 3)
+    with pytest.raises(NonIntegerTrace) as info:
+        analyze(_op(NON_INTEGER))
+    wfg, wgf = values[2], values[3]
+    assert str(info.value) == (
+        f"tau([a, a0]) = {gr(-1) + wgf - wfg} is not an integer; block 2: W(g, f) = {wgf}, W(f, g) = {wfg}"
+    )
+
+
+def test_a_non_integer_pairing_exits_3(monkeypatch, capsys):
+    _half_on_call(monkeypatch, 1)
+    assert cli.main(["analyze", NON_INTEGER]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency failure: tau([a, a0]) = ")
+    assert "block 0: W(g, f) = 0, W(f, g) = 3/2" in err

@@ -18,6 +18,7 @@ from bfredholm.operators import (
     direct_sum,
     embed_finite_rank,
     hankel_defect,
+    hankel_trace,
     identity_like,
     matrix_operator,
     op_arith,
@@ -207,6 +208,7 @@ def test_hankel_defect_matches_the_four_case_reference():
     for _ in range(300):
         f, g = random_symbol(rng), random_symbol(rng)
         H = hankel_defect(f, g)
+        assert hankel_trace(f, g) == trace(H), (f, g)
         if f.is_zero() or g.is_zero():
             assert H.terms == ()
             continue
@@ -232,6 +234,53 @@ def test_hankel_defect_with_long_heads_matches_the_reference(left, right):
     H = hankel_defect(f, g)
     assert fr_equal(H, ref)
     assert len(H.terms) <= len(ref.terms)
+
+
+_TRACE_CASES = [
+    # simple poles on both sides, and a double zero over an outer pole
+    (F3, invert_symbol(F1)),
+    (F1, F3),
+    # triple poles outside and inside
+    (sym_pow(invert_symbol(make_symbol(poly([-3, 1]), poly([1]))), 3), sym_pow(invert_symbol(F1), 3)),
+    # shifts: z^-2 moves coefficients across 0, z^2 the other way
+    (sym_arith(F3, sym_pow(ZINV, 2), "mul"), sym_arith(invert_symbol(F3), sym_pow(Z, 2), "mul")),
+    (sym_arith(F3, sym_pow(Z, 2), "mul"), sym_arith(F3, sym_pow(ZINV, 3), "mul")),
+    (Z, ZINV),
+] + [
+    (evaluate(parse(left)).blocks[0].symbol, evaluate(parse(right)).blocks[0].symbol)
+    for left, right in [
+        # long heads against poles of order 4, and heads and tails on both sides
+        ("T((z^2+z+3)^10)", "T(1/(z-1/2)^4)"),
+        ("T(1/(z-3)^4)", "T((z^-2+z^-1+5)^10)"),
+        ("T(z^12 * (z-1/3)/(z-3)^2)", "T(z^-8 * (z-3)/(z-1/2)^2)"),
+    ]
+]
+
+
+@pytest.mark.parametrize("f, g", _TRACE_CASES + [(g, f) for f, g in _TRACE_CASES])
+def test_hankel_trace_is_the_trace_of_the_defect(f, g):
+    assert hankel_trace(f, g) == trace(hankel_defect(f, g))
+
+
+@pytest.mark.parametrize("f, g", _TRACE_CASES[:5])
+def test_hankel_trace_float_check(f, g):
+    approx = sum(n * fourier_coeff(f, n).to_complex() * fourier_coeff(g, -n).to_complex() for n in range(1, 200))
+    assert abs(approx - hankel_trace(f, g).to_complex()) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (ZERO_SYMBOL, F3),
+        (F3, ZERO_SYMBOL),
+        (ZINV, F3),  # fhat(n) = 0 for n >= 1
+        (F3, Z),     # ghat(-n) = 0 for n >= 1
+    ],
+    ids=["f=0", "g=0", "no positive part", "no negative part"],
+)
+def test_hankel_trace_of_an_empty_defect_is_zero(f, g):
+    assert hankel_defect(f, g).terms == ()
+    assert hankel_trace(f, g) == gr(0)
 
 
 def test_budget_long_head_times_a_high_order_pole():

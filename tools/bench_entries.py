@@ -48,9 +48,13 @@ change) are timed under the same load:
 
 ``op_entry_window_ms``, ``analyze_split_ms`` and ``layers`` are in-process;
 the other timings include process start and follow one untimed run per side
-that writes bytecode caches.  Each measurement is taken ``--repeat`` times
-per side; the result keeps every sample and their median, as JSON on
-standard output or in the ``--out`` file.
+that writes bytecode caches.  Each in-process sample also carries its ratio
+to ``reference_ms``, a fixed stdlib loop (``Fraction`` products and sums)
+timed in the same process, one pass after each measured pass, as the median
+of those passes.  A slow host slows both, so the ratios spread less across
+processes than the times.  Each measurement is taken ``--repeat`` times
+per side; the result keeps every sample and their median (and every ratio
+and theirs), as JSON on standard output or in the ``--out`` file.
 """
 
 from __future__ import annotations
@@ -155,8 +159,21 @@ MATRIX_OPERATORS = _matrix_operators()
 SPLIT16 = "T((z-1/2)^16/(z-3)^16)"
 POWER_20 = "T(((z^3+z+5)/(z^2-3))^20)"
 
+REFERENCE = """
+from fractions import Fraction
+reference = []
+
+def reference_pass():
+    \"\"\"One pass of the fixed stdlib loop, kept in ``reference``.\"\"\"
+    start = time.perf_counter()
+    for k in range(1000):
+        Fraction(k % 97 - 48, k % 89 + 1) * Fraction(k % 13 + 1, k % 7 + 1) + Fraction(k, 360)
+    reference.append((time.perf_counter() - start) * 1e3)
+"""
+
 SPLIT_TIMER = """
 import json, statistics, sys, time
+""" + REFERENCE + """
 from bfredholm.dsl import evaluate, parse
 from bfredholm.engine import _drazin_witness, analyze, index_trace
 from bfredholm.matrices import drazin
@@ -171,6 +188,7 @@ for _ in range(passes + 1):  # the first pass warms the interpreter up
     for t in texts:
         analyze(evaluate(parse(t)))
     analyze_ms.append((time.perf_counter() - start) * 1e3 / len(texts))
+    reference_pass()
 ops = [evaluate(parse(t)) for t in texts]
 symbols = [b.symbol for a in ops for b in a.blocks if isinstance(b, ToeplitzBlock) and b.symbol.split]
 splits = [f.split for f in symbols]
@@ -195,6 +213,7 @@ for _ in range(passes):
         trace_s += time.perf_counter() - mid
     witness_ms.append(witness_s * 1e3 / len(texts))
     trace_ms.append(trace_s * 1e3 / len(texts))
+    reference_pass()
 matrix_ops = [evaluate(parse(t)) for t in json.loads(sys.argv[2])]
 witness_args = [(a, "drazin") for a in matrix_ops]
 per_call(_drazin_witness, witness_args, 1)  # warms the interpreter up
@@ -205,6 +224,7 @@ product = evaluate(parse(sys.argv[3]))
 window = [(product, 0, i, j) for i in range(16) for j in range(16)]
 per_call(op_entry, window, 1)  # the first read keeps every value the entries need
 print(json.dumps({
+    "reference_ms": statistics.median(reference[1:]),
     "analyze_split_ms": statistics.median(analyze_ms[1:]),
     "layers": {
         "from_roots_us": per_call(from_roots, roots, 50) * 1e6,
@@ -221,6 +241,7 @@ print(json.dumps({
 
 WINDOW_TIMER = """
 import json, statistics, sys, time
+""" + REFERENCE + """
 from bfredholm.dsl import evaluate, parse
 from bfredholm.operators import op_entry
 text, sides, passes = sys.argv[1], json.loads(sys.argv[2]), int(sys.argv[3])
@@ -234,7 +255,9 @@ for n in sides:
             for j in range(n):
                 op_entry(op, 0, i, j)
         ms.append((time.perf_counter() - start) * 1e3)
+        reference_pass()
     out[n] = statistics.median(ms[1:])
+out["reference_ms"] = statistics.median(reference[1:])
 print(json.dumps(out))
 """
 
@@ -248,6 +271,14 @@ def _run(src: Path, args: list[str]) -> tuple[float, bytes]:
 
 def _summary(samples: list[float], digits: int) -> dict:
     return {"median": round(statistics.median(samples), digits), "samples": [round(x, digits) for x in samples]}
+
+
+def _in_process(samples: list[tuple[float, float]]) -> dict:
+    """_summary of in-process (value, reference_ms) samples, with each value's
+    ratio to the reference loop of its own process."""
+    ratios = _summary([value / ref for value, ref in samples], 4)
+    return {**_summary([value for value, _ in samples], 3),
+            "ratio_median": ratios["median"], "ratios": ratios["samples"]}
 
 
 def _timed(sides: dict[str, Path], args: list[str], repeat: int) -> dict:
@@ -275,14 +306,18 @@ def measure(sides: dict[str, Path], repeat: int) -> dict:
     for _ in range(repeat):
         for label, src in sides.items():
             _, stdout = _run(src, ["-c", WINDOW_TIMER, PRODUCT, json.dumps(WINDOW_SIDES), str(PASSES)])
-            for n, ms in json.loads(stdout).items():
-                windows[label].setdefault(f"n={n}", []).append(ms)
+            out = json.loads(stdout)
+            ref = out.pop("reference_ms")
+            for n, ms in out.items():
+                windows[label].setdefault(f"n={n}", []).append((ms, ref))
             _, stdout = _run(src, ["-c", SPLIT_TIMER, json.dumps(SPLIT_OPERATORS), json.dumps(MATRIX_OPERATORS),
                                    PRODUCT, str(PASSES)])
             out = json.loads(stdout)
-            split[label].setdefault("analyze_split_ms", []).append(out["analyze_split_ms"])
+            ref = out["reference_ms"]
+            split[label].setdefault("reference_ms", []).append(ref)
+            split[label].setdefault("analyze_split_ms", []).append((out["analyze_split_ms"], ref))
             for name, value in out["layers"].items():
-                split[label].setdefault(name, []).append(value)
+                split[label].setdefault(name, []).append((value, ref))
     cli = ["-m", "bfredholm.cli"]
     timed = {
         "verify_windows_s": _timed(sides, cli + ["verify", "--suite", "windows"], repeat),
@@ -297,9 +332,10 @@ def measure(sides: dict[str, Path], repeat: int) -> dict:
     }
     return {
         label: {
-            "op_entry_window_ms": {n: _summary(ms, 3) for n, ms in windows[label].items()},
-            "analyze_split_ms": _summary(split[label].pop("analyze_split_ms"), 3),
-            "layers": {name: _summary(values, 3) for name, values in split[label].items()},
+            "reference_ms": _summary(split[label].pop("reference_ms"), 3),
+            "op_entry_window_ms": {n: _in_process(ms) for n, ms in windows[label].items()},
+            "analyze_split_ms": _in_process(split[label].pop("analyze_split_ms")),
+            "layers": {name: _in_process(values) for name, values in split[label].items()},
             **{name: result[label] for name, result in timed.items()},
         }
         for label in sides

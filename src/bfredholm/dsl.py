@@ -21,16 +21,21 @@ error.  Scalars are exact Gaussian rationals like 2, -1/4, 3i, 1/2+1/2i
 reads one such literal.  Constant symbol subexpressions are folded
 during parsing, so pretty-printing and re-parsing reproduce the AST
 exactly.  geo(r; d) denotes the sequence n^d * r^n.
+
+The lexer is one findall of one pattern, after one search for a
+rejected character; its tokens are a list of strings, padded with empty
+end-of-input tokens so that the parser's lookahead is one list index.
+AST nodes are immutable slotted classes, equal only to a node of their
+own type with equal fields.  The evaluator builds z and each linear
+factor z + c or z - c as a factored symbol, so products and quotients of
+them stay factored.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple
 
-from .errors import BudgetExceeded, ParseError, SignatureMismatch
+from .errors import BudgetExceeded, FactorOnCircle, ParseError, SignatureMismatch
 from .finiterank import make_finite_rank
 from .matrices import matrix as make_matrix
 from .operators import (
@@ -42,174 +47,18 @@ from .operators import (
     op_scale,
     toeplitz_operator,
 )
-from .scalars import GaussianRational, ONE, format_scalar, gr
+from .scalars import GaussianRational, ONE, _reduced, format_scalar, gr
 from .sequences import RationalSequence, seq_basis, seq_finite, seq_geo
 from .symbols import (
     RationalSymbol,
     ZERO_SYMBOL,
     make_factored,
-    make_symbol,
     sym_arith,
     sym_div,
     sym_pow,
     sym_scale,
 )
-from .poly import poly
 
-
-# ---------------------------------------------------------------------------
-# Tokens.
-# ---------------------------------------------------------------------------
-
-
-class Token(NamedTuple):
-    kind: str  # 'int', 'id', 'punct', 'dsum', 'eof'
-    text: str
-    pos: int  # offset in the text
-
-
-# The grammar is ASCII.  finditer skips whitespace, and any other
-# character is a 'bad' token, which tokenize rejects.
-_TOKEN = re.compile(
-    r"(?P<dsum>\(\+\+\))|(?P<int>[0-9]+)|(?P<id>[A-Za-z]+)"
-    r"|(?P<punct>[-+*/^()\[\]{},;|])|(?P<bad>\S)"
-)
-
-
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    """1-based line and column of offset pos in text."""
-    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-
-
-def tokenize(text: str) -> list[Token]:
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind, tok = m.lastgroup, m.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {tok!r}", *_line_col(text, m.start()))
-        if kind == "int" and len(tok) > MAX_LITERAL_DIGITS:
-            raise BudgetExceeded(
-                "integer literal of length", len(tok), "MAX_LITERAL_DIGITS", MAX_LITERAL_DIGITS
-            )
-        out.append(Token(kind, tok, m.start()))
-    out.append(Token("eof", "", len(text)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# AST node types (all frozen; structural equality is the round-trip test).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class SVar:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class SConst:
-    value: GaussianRational
-
-
-@dataclass(frozen=True, slots=True)
-class SBin:
-    op: str  # '+', '-', '*', '/'
-    left: "SymNode"
-    right: "SymNode"
-
-
-@dataclass(frozen=True, slots=True)
-class SPow:
-    base: "SymNode"
-    exp: int
-
-
-@dataclass(frozen=True, slots=True)
-class SNeg:
-    arg: "SymNode"
-
-
-SymNode = SVar | SConst | SBin | SPow | SNeg
-
-
-@dataclass(frozen=True, slots=True)
-class FinSeq:
-    values: tuple[GaussianRational, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class GeoSeq:
-    ratio: GaussianRational
-    degree: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class BasisSeq:
-    index: int
-
-
-SeqNode = FinSeq | GeoSeq | BasisSeq
-
-
-@dataclass(frozen=True, slots=True)
-class TAtom:
-    sym: SymNode
-
-
-@dataclass(frozen=True, slots=True)
-class IdentityAtom:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class FRAtom:
-    pairs: tuple[tuple[SeqNode, SeqNode], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class MatrixAtom:
-    rows: tuple[tuple[GaussianRational, ...], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class OpBin:
-    op: str  # '+', '-', '*'
-    left: "OpNode"
-    right: "OpNode"
-
-
-@dataclass(frozen=True, slots=True)
-class OpNeg:
-    arg: "OpNode"
-
-
-@dataclass(frozen=True, slots=True)
-class OpScalarMul:
-    scalar: GaussianRational
-    arg: "OpNode"
-
-
-@dataclass(frozen=True, slots=True)
-class DirectSum:
-    parts: tuple["OpNode", ...]
-
-
-OpNode = TAtom | IdentityAtom | FRAtom | MatrixAtom | OpBin | OpNeg | OpScalarMul | DirectSum
-
-
-# ---------------------------------------------------------------------------
-# Parser.
-# ---------------------------------------------------------------------------
-
-
-# Deepest nesting of parentheses, signs and scalar prefixes that parse
-# accepts; the recursive descent stays far inside Python's recursion limit.
-MAX_DEPTH = 100
-# Highest AST that parse accepts.  A chain such as ``a + b + c`` nests to
-# the left, one level per operator, without deepening the descent.  The
-# evaluators and the pretty-printer recurse one frame per level, and the
-# generated ``==`` of the frozen nodes three.
-MAX_HEIGHT = 200
 
 # Input budgets.  Each bounds a size that the cost of evaluating or
 # analyzing an input grows with faster than linearly, and is set so that
@@ -225,170 +74,379 @@ MAX_SEQ_INDEX = 500  # N in e<N>, and the last index of a fin[...] list
 MAX_GEO_DEGREE = 64  # d in geo(r; d)
 
 
-def _nested(step):
-    """Count one nesting level around a recursive parse step."""
+# ---------------------------------------------------------------------------
+# Tokens.
+# ---------------------------------------------------------------------------
 
-    def counted(self):
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            self.fail(f"expression nested more than {MAX_DEPTH} levels deep")
-        node = step(self)
-        self.depth -= 1
-        return node
 
-    return counted
+# The grammar is ASCII: a token is '(++)', an integer literal, a word or
+# one punctuation character.  Any other character outside whitespace, and
+# an integer literal longer than MAX_LITERAL_DIGITS, is rejected.
+_TOKEN = re.compile(r"\(\+\+\)|[0-9]+|[A-Za-z]+|\S")
+_REJECTED = re.compile(r"[^\s0-9A-Za-z\-+*/^()\[\]{},;|]|[0-9]{%d,}" % (MAX_LITERAL_DIGITS + 1))
+# Empty end-of-input tokens after the last token: the farthest lookahead,
+# from a sign over 'a', '/', 'b' to 'i', reads four tokens past the sign.
+_PAD = 4
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset pos in text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def tokenize(text: str) -> list[str]:
+    """The tokens of text, then _PAD empty end-of-input tokens.
+
+    The first rejected token raises ParseError or BudgetExceeded.
+    """
+    bad = _REJECTED.search(text)
+    if bad is not None:
+        tok = bad.group()
+        if tok[0] in "0123456789":
+            raise BudgetExceeded(
+                "integer literal of length", len(tok), "MAX_LITERAL_DIGITS", MAX_LITERAL_DIGITS
+            )
+        raise ParseError(f"unexpected character {tok!r}", *_line_col(text, bad.start()))
+    return _TOKEN.findall(text) + [""] * _PAD
+
+
+# ---------------------------------------------------------------------------
+# AST node types (immutable; structural equality is the round-trip test).
+# ---------------------------------------------------------------------------
+
+
+_set = object.__setattr__
+
+
+class _Node:
+    """An AST node.  Its fields are its __slots__, set once by __init__.
+
+    A node equals only a node of the same type with equal fields, and
+    equal nodes hash alike; assigning to a node raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._fields()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+
+class SVar(_Node):
+    __slots__ = ()
+
+
+class SConst(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: GaussianRational):
+        _set(self, "value", value)
+
+
+class SBin(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: SymNode, right: SymNode):  # op: '+', '-', '*', '/'
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class SPow(_Node):
+    __slots__ = ("base", "exp")
+
+    def __init__(self, base: SymNode, exp: int):
+        _set(self, "base", base)
+        _set(self, "exp", exp)
+
+
+class SNeg(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: SymNode):
+        _set(self, "arg", arg)
+
+
+SymNode = SVar | SConst | SBin | SPow | SNeg
+
+
+class FinSeq(_Node):
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[GaussianRational, ...]):
+        _set(self, "values", values)
+
+
+class GeoSeq(_Node):
+    __slots__ = ("ratio", "degree")
+
+    def __init__(self, ratio: GaussianRational, degree: int = 0):
+        _set(self, "ratio", ratio)
+        _set(self, "degree", degree)
+
+
+class BasisSeq(_Node):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
+
+
+SeqNode = FinSeq | GeoSeq | BasisSeq
+
+
+class TAtom(_Node):
+    __slots__ = ("sym",)
+
+    def __init__(self, sym: SymNode):
+        _set(self, "sym", sym)
+
+
+class IdentityAtom(_Node):
+    __slots__ = ()
+
+
+class FRAtom(_Node):
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[SeqNode, SeqNode], ...]):
+        _set(self, "pairs", pairs)
+
+
+class MatrixAtom(_Node):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[GaussianRational, ...], ...]):
+        _set(self, "rows", rows)
+
+
+class OpBin(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: OpNode, right: OpNode):  # op: '+', '-', '*'
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class OpNeg(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: OpNode):
+        _set(self, "arg", arg)
+
+
+class OpScalarMul(_Node):
+    __slots__ = ("scalar", "arg")
+
+    def __init__(self, scalar: GaussianRational, arg: OpNode):
+        _set(self, "scalar", scalar)
+        _set(self, "arg", arg)
+
+
+class DirectSum(_Node):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[OpNode, ...]):
+        _set(self, "parts", parts)
+
+
+OpNode = TAtom | IdentityAtom | FRAtom | MatrixAtom | OpBin | OpNeg | OpScalarMul | DirectSum
+
+
+# ---------------------------------------------------------------------------
+# Parser.
+# ---------------------------------------------------------------------------
+
+
+# Deepest nesting of parentheses, signs and scalar prefixes that parse
+# accepts; the recursive descent stays far inside Python's recursion limit.
+MAX_DEPTH = 100
+# Highest AST that parse accepts.  A chain such as ``a + b + c`` nests to
+# the left, one level per operator, without deepening the descent.  The
+# evaluators, the pretty-printer and ``==`` of the nodes recurse one frame
+# per level.
+MAX_HEIGHT = 200
 
 
 class _Parser:
+    """Recursive descent over the token list; pos indexes the next token.
+
+    parse_sfactor and parse_factor each count one nesting level in depth
+    while they run.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.toks = tokenize(text)
+        self.texts = tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def expect(self, text: str) -> None:
+        t = self.texts[self.pos]
+        if t != text:
+            self.fail(f"expected {text!r}, found {t or 'end of input'!r}")
+        self.pos += 1
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text:
-            self.fail(f"expected {text!r}, found {t.text or 'end of input'!r}")
-        return self.next()
-
-    def fail(self, msg: str, at: Token | None = None):
-        """Raise ParseError at token at, by default the next one."""
-        raise ParseError(msg, *_line_col(self.text, (at or self.peek()).pos))
+    def fail(self, msg: str, at: int | None = None):
+        """Raise ParseError at token index at, by default the next token."""
+        offsets = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)] * _PAD
+        raise ParseError(msg, *_line_col(self.text, offsets[self.pos if at is None else at]))
 
     def items(self, item, sep: str) -> list:
         """item (sep item)*"""
         out = [item()]
-        while self.peek().text == sep:
-            self.next()
+        while self.texts[self.pos] == sep:
+            self.pos += 1
             out.append(item())
         return out
 
     def end(self) -> None:
-        t = self.peek()
-        if t.kind != "eof":
-            self.fail(f"unexpected trailing input {t.text!r}")
+        if self.texts[self.pos]:
+            self.fail(f"unexpected trailing input {self.texts[self.pos]!r}")
+
+    def enter(self) -> None:
+        """Count one nesting level."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"expression nested more than {MAX_DEPTH} levels deep")
 
     # -- scalars ----------------------------------------------------------
 
-    def at_scalar(self, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == "int" or t.text == "i"
+    def at_scalar(self, p: int) -> bool:
+        t = self.texts[p]
+        return t == "i" or t.isdigit()
 
     def parse_scalar(self) -> GaussianRational:
         """Full scalar literal: [-] part [('+'|'-') imag], part = a[/b][i] | i,
         imag = a[/b]i | i.  Only a real first part takes an imaginary second
         one, as format_scalar writes it; a + b with a real b is a sum."""
-        first = self._scalar_part(allow_sign=True)
-        t = self.peek()
-        if first.im == 0 and t.text in ("+", "-") and self._imaginary_ahead():
-            self.next()
-            second = self._scalar_part(allow_sign=False)
-            if t.text == "-":
-                second = -second
-            return first + second
+        first = self._scalar_part(True)
+        p = self.pos
+        t = self.texts[p]
+        if (t == "+" or t == "-") and not first[1]:
+            # an imaginary part a[/b]i or i follows the sign
+            texts = self.texts
+            k = p + 1
+            if texts[k].isdigit():
+                k += 3 if texts[k + 1] == "/" and texts[k + 2].isdigit() else 1
+            if texts[k] == "i":
+                self.pos = p + 1
+                second = self._scalar_part(False)
+                return first + second if t == "+" else first - second
         return first
 
-    def _imaginary_ahead(self) -> bool:
-        """A part a[/b]i or i follows the sign at peek()."""
-        k = 1
-        if self.peek(k).kind == "int":
-            k += 3 if self.peek(k + 1).text == "/" and self.peek(k + 2).kind == "int" else 1
-        return self.peek(k).text == "i"
-
     def _scalar_part(self, allow_sign: bool) -> GaussianRational:
+        texts = self.texts
+        p = self.pos
         sign = 1
-        if allow_sign and self.peek().text == "-":
-            self.next()
+        if allow_sign and texts[p] == "-":
+            p += 1
             sign = -1
-        t = self.peek()
-        if t.text == "i":
-            self.next()
+        t = texts[p]
+        if t == "i":
+            self.pos = p + 1
             return gr(0, sign)
-        if t.kind != "int":
-            self.fail("expected a number")
-        self.next()
-        numer = int(t.text)
-        denom = 1
-        if self.peek().text == "/" and self.peek(1).kind == "int":
-            self.next()
-            denom = int(self.next().text)
+        if not t.isdigit():
+            self.fail("expected a number", p)
+        numer = sign * int(t)
+        if texts[p + 1] == "/" and texts[p + 2].isdigit():
+            denom = int(texts[p + 2])
             if denom == 0:
-                self.fail("zero denominator in scalar", t)
-        q = Fraction(sign * numer, denom)
-        if self.peek().text == "i":
-            self.next()
-            return gr(0, q)
-        return gr(q)
+                self.fail("zero denominator in scalar", p)
+            p += 3
+        else:
+            denom = 1
+            p += 1
+        if texts[p] == "i":
+            self.pos = p + 1
+            return _reduced(0, numer, denom)
+        self.pos = p
+        return _reduced(numer, 0, denom)
 
     def parse_int(self) -> int:
+        p = self.pos
         sign = 1
-        if self.peek().text == "-":
-            self.next()
+        if self.texts[p] == "-":
+            p += 1
             sign = -1
-        t = self.peek()
-        if t.kind != "int":
-            self.fail("expected an integer")
-        self.next()
-        return sign * int(t.text)
+        if not self.texts[p].isdigit():
+            self.fail("expected an integer", p)
+        self.pos = p + 1
+        return sign * int(self.texts[p])
 
     # -- symbol expressions ----------------------------------------------
 
     def parse_symexpr(self) -> SymNode:
         node = self.parse_sterm()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            right = self.parse_sterm()
-            node = _fold(SBin(op, node, right))
+        texts = self.texts
+        while (op := texts[self.pos]) == "+" or op == "-":
+            self.pos += 1
+            node = _fold_bin(op, node, self.parse_sterm())
         return node
 
     def parse_sterm(self) -> SymNode:
         node = self.parse_sfactor()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
-            right = self.parse_sfactor()
-            node = _fold(SBin(op, node, right))
+        texts = self.texts
+        while (op := texts[self.pos]) == "*" or op == "/":
+            self.pos += 1
+            node = _fold_bin(op, node, self.parse_sfactor())
         return node
 
-    @_nested
     def parse_sfactor(self) -> SymNode:
-        t = self.peek()
-        if t.text == "-":
-            if self.at_scalar(1):
-                # Signed scalar literal, e.g. "-3/4-1/2i"; let parse_scalar
-                # apply the sign to the first part only.
-                node = SConst(self.parse_scalar())
-            else:
-                self.next()
-                return _fold(SNeg(self.parse_sfactor()))
+        self.enter()
+        texts = self.texts
+        p = self.pos
+        t = texts[p]
+        if t == "z":
+            self.pos = p + 1
+            node = SVar()
+        elif t == "-":
+            if not self.at_scalar(p + 1):
+                self.pos = p + 1
+                node = _fold(SNeg(self.parse_sfactor()))
+                self.depth -= 1
+                return node
+            # Signed scalar literal, e.g. "-3/4-1/2i"; let parse_scalar
+            # apply the sign to the first part only.
+            node = SConst(self.parse_scalar())
         else:
             node = self.parse_satom()
-        if self.peek().text == "^":
-            self.next()
+        if texts[self.pos] == "^":
+            self.pos += 1
             exp = self.parse_int()
             if abs(exp) > MAX_EXPONENT:
                 raise BudgetExceeded("exponent", exp, "MAX_EXPONENT", MAX_EXPONENT)
             node = _fold(SPow(node, exp))
+        self.depth -= 1
         return node
 
     def parse_satom(self) -> SymNode:
-        t = self.peek()
-        if t.text == "z":
-            self.next()
-            return SVar()
-        if self.at_scalar():
+        p = self.pos
+        if self.at_scalar(p):
             return SConst(self.parse_scalar())
-        if t.text == "(":
-            self.next()
+        if self.texts[p] == "(":
+            self.pos = p + 1
             node = self.parse_symexpr()
             self.expect(")")
             return node
@@ -397,9 +455,10 @@ class _Parser:
     # -- sequences and atoms ----------------------------------------------
 
     def parse_seq(self) -> SeqNode:
-        t = self.peek()
-        if t.text == "fin":
-            self.next()
+        at = self.pos
+        t = self.texts[at]
+        if t == "fin":
+            self.pos += 1
             self.expect("[")
             values = self.items(self.parse_scalar, ",")
             self.expect("]")
@@ -408,29 +467,28 @@ class _Parser:
                     "last index of a fin list", len(values) - 1, "MAX_SEQ_INDEX", MAX_SEQ_INDEX
                 )
             return FinSeq(tuple(values))
-        if t.text == "geo":
-            self.next()
+        if t == "geo":
+            self.pos += 1
             self.expect("(")
             ratio = self.parse_scalar()
             degree = 0
-            if self.peek().text == ";":
-                self.next()
+            if self.texts[self.pos] == ";":
+                self.pos += 1
                 degree = self.parse_int()
                 if degree < 0:
-                    self.fail("geo degree must be >= 0", t)
+                    self.fail("geo degree must be >= 0", at)
                 if degree > MAX_GEO_DEGREE:
                     raise BudgetExceeded("geo degree", degree, "MAX_GEO_DEGREE", MAX_GEO_DEGREE)
             self.expect(")")
             if ratio.abs2() >= 1:
-                self.fail(f"geo ratio {format_scalar(ratio)} is not inside the unit circle", t)
+                self.fail(f"geo ratio {format_scalar(ratio)} is not inside the unit circle", at)
             return GeoSeq(ratio, degree)
-        if t.text == "e":
-            self.next()
-            idx = self.peek()
-            if idx.kind != "int":
+        if t == "e":
+            p = self.pos = at + 1
+            if not self.texts[p].isdigit():
                 self.fail("expected a basis index after 'e'")
-            self.next()
-            index = int(idx.text)
+            self.pos = p + 1
+            index = int(self.texts[p])
             if index > MAX_SEQ_INDEX:
                 raise BudgetExceeded("basis index", index, "MAX_SEQ_INDEX", MAX_SEQ_INDEX)
             return BasisSeq(index)
@@ -454,24 +512,24 @@ class _Parser:
         return tuple(row)
 
     def parse_atom(self) -> OpNode:
-        t = self.peek()
-        if t.text == "T":
-            self.next()
+        t = self.texts[self.pos]
+        if t == "T":
+            self.pos += 1
             self.expect("(")
             sym = self.parse_symexpr()
             self.expect(")")
             return TAtom(sym)
-        if t.text == "I":
-            self.next()
+        if t == "I":
+            self.pos += 1
             return IdentityAtom()
-        if t.text == "FR":
-            self.next()
+        if t == "FR":
+            self.pos += 1
             self.expect("{")
             pairs = self.items(self._parse_pair, ";")
             self.expect("}")
             return FRAtom(tuple(pairs))
-        if t.text == "M":
-            self.next()
+        if t == "M":
+            self.pos += 1
             return self.parse_matrix()
         self.fail("expected an operator atom (T, I, FR, or M)")
 
@@ -483,47 +541,53 @@ class _Parser:
 
     # -- operator expressions ----------------------------------------------
 
-    @_nested
     def parse_factor(self) -> OpNode:
-        t = self.peek()
-        if t.text == "-":
-            self.next()
-            return OpNeg(self.parse_factor())
-        if self.at_scalar():
+        self.enter()
+        p = self.pos
+        t = self.texts[p]
+        if t == "-":
+            self.pos = p + 1
+            node = OpNeg(self.parse_factor())
+        elif self.at_scalar(p):
             c = self.parse_scalar()
             self.expect("*")
-            return OpScalarMul(c, self.parse_factor())
-        if t.text == "(":
-            # a parenthesized scalar coefficient or a grouped expression
-            save = self.pos
-            self.next()
-            if self.at_scalar() or self.peek().text == "-":
-                try:
-                    c = self.parse_scalar()
-                    if self.peek().text == ")" and self.peek(1).text == "*":
-                        self.next()
-                        self.next()
-                        return OpScalarMul(c, self.parse_factor())
-                except ParseError:
-                    pass
-            self.pos = save
-            self.next()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        return self.parse_atom()
+            node = OpScalarMul(c, self.parse_factor())
+        elif t == "(":
+            node = self._parenthesized(p)
+        else:
+            node = self.parse_atom()
+        self.depth -= 1
+        return node
+
+    def _parenthesized(self, p: int) -> OpNode:
+        """A parenthesized scalar coefficient or a grouped expression at p."""
+        self.pos = p + 1
+        if self.at_scalar(p + 1) or self.texts[p + 1] == "-":
+            try:
+                c = self.parse_scalar()
+                q = self.pos
+                if self.texts[q] == ")" and self.texts[q + 1] == "*":
+                    self.pos = q + 2
+                    return OpScalarMul(c, self.parse_factor())
+            except ParseError:
+                pass
+        self.pos = p + 1
+        node = self.parse_expr()
+        self.expect(")")
+        return node
 
     def parse_term(self) -> OpNode:
         node = self.parse_factor()
-        while self.peek().text == "*":
-            self.next()
+        while self.texts[self.pos] == "*":
+            self.pos += 1
             node = OpBin("*", node, self.parse_factor())
         return node
 
     def parse_expr(self) -> OpNode:
         node = self.parse_term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
+        texts = self.texts
+        while (op := texts[self.pos]) == "+" or op == "-":
+            self.pos += 1
             node = OpBin(op, node, self.parse_term())
         return node
 
@@ -531,6 +595,14 @@ class _Parser:
         parts = self.items(self.parse_expr, "(++)")
         self.end()
         return DirectSum(tuple(parts)) if len(parts) > 1 else parts[0]
+
+
+def _fold_bin(op: str, left: SymNode, right: SymNode) -> SymNode:
+    """_fold(SBin(op, left, right)), which only two constants change."""
+    node = SBin(op, left, right)
+    if left.__class__ is SConst and right.__class__ is SConst:
+        return _fold(node)
+    return node
 
 
 def _fold(node: SymNode) -> SymNode:
@@ -579,8 +651,12 @@ def _height(node) -> int:
 
 
 def parse(text: str) -> OpNode:
-    ast = _Parser(text).parse_program()
-    if _height(ast) > MAX_HEIGHT:
+    p = _Parser(text)
+    ast = p.parse_program()
+    # Each node of the tree takes a token of its own (its operator, sign,
+    # keyword or first literal token), so a text of at most MAX_HEIGHT
+    # tokens cannot make a tree that high.
+    if len(p.texts) - _PAD > MAX_HEIGHT and _height(ast) > MAX_HEIGHT:
         raise ParseError(f"expression tree more than {MAX_HEIGHT} levels high", 1, 1)
     check_signature(ast)
     return ast
@@ -727,7 +803,7 @@ def eval_sym(node: SymNode) -> RationalSymbol:
 
 def _eval_sym(node: SymNode) -> RationalSymbol:
     if isinstance(node, SVar):
-        return make_symbol(poly([0, 1]), poly([1]))
+        return make_factored(ONE, 1, [], [])
     if isinstance(node, SConst):
         if node.value.is_zero():
             return ZERO_SYMBOL
@@ -738,13 +814,22 @@ def _eval_sym(node: SymNode) -> RationalSymbol:
         base = eval_sym(node.base)
         _check_symbol(base, abs(node.exp))
         return sym_pow(base, node.exp)
-    left = eval_sym(node.left)
-    right = eval_sym(node.right)
-    if node.op == "+":
+    op, left, right = node.op, node.left, node.right
+    if (op == "-" or op == "+") and left.__class__ is SVar and right.__class__ is SConst:
+        c = right.value
+        if not c.is_zero():
+            # z - c or z + c: one linear factor, split unless c is on the circle
+            try:
+                return make_factored(ONE, 0, [(c if op == "-" else -c, 1)], [])
+            except FactorOnCircle:
+                pass
+    left = eval_sym(left)
+    right = eval_sym(right)
+    if op == "+":
         return sym_arith(left, right, "add")
-    if node.op == "-":
+    if op == "-":
         return sym_arith(left, right, "sub")
-    if node.op == "*":
+    if op == "*":
         return sym_arith(left, right, "mul")
     return sym_div(left, right)
 
@@ -755,6 +840,9 @@ def eval_seq(node: SeqNode) -> RationalSequence:
     if isinstance(node, GeoSeq):
         return seq_geo(node.ratio, node.degree)
     return seq_basis(node.index)
+
+
+_OP_NAMES = {"+": "add", "-": "sub", "*": "mul"}
 
 
 def evaluate(node: OpNode) -> BlockOperator:
@@ -784,8 +872,7 @@ def _eval(node: OpNode) -> BlockOperator:
     if isinstance(node, OpBin):
         left = _eval(node.left)
         right = _eval(node.right)
-        op = {"+": "add", "-": "sub", "*": "mul"}[node.op]
-        out = op_arith(left, right, op)
+        out = op_arith(left, right, _OP_NAMES[node.op])
         for b in out.blocks:
             if isinstance(b, ToeplitzBlock):
                 _check_symbol(b.symbol)

@@ -34,7 +34,7 @@ from .errors import (
     ZeroOnCircle,
 )
 from .finiterank import FR_ZERO, FiniteRankOperator, make_finite_rank, trace as fr_trace
-from .matrices import drazin, matrix, zeros as mat_zeros
+from .matrices import drazin, drazin_index, matrix, zeros as mat_zeros
 from .operators import (
     Block,
     BlockOperator,
@@ -145,11 +145,14 @@ def _drazin_witness(a: BlockOperator, matrix_mode: str) -> DrazinWitness:
                 p = max(p, 1)
             else:
                 blocks.append(ToeplitzBlock(invert_symbol(b.symbol), FR_ZERO))
-        else:
-            # the block lies in J, so 0 serves too; p is its Drazin index either way
+        elif matrix_mode == "drazin":
             d, k = drazin(b.m)
-            blocks.append(MatrixBlock(d if matrix_mode == "drazin" else mat_zeros(d.rows, d.rows)))
+            blocks.append(MatrixBlock(d))
             p = max(p, k)
+        else:
+            # the block lies in J, so 0 serves too; only its Drazin index is read
+            blocks.append(MatrixBlock(mat_zeros(b.m.rows, b.m.rows)))
+            p = max(p, drazin_index(b.m))
     a0 = BlockOperator(tuple(blocks))
     d1, d2, d3 = [], [], []
     for x, y in zip(a.blocks, a0.blocks):
@@ -249,7 +252,9 @@ def _run_routes(a: BlockOperator) -> tuple[IndexReport, MissingSplit | None]:
         return IndexReport(c, None, None, None, ("no index: not in class",)), None
     notes = ("winding route: -sum of symbol windings",)
     try:
-        w = _drazin_witness(a, "drazin")
+        # the trace route ignores matrix blocks and the report shows only
+        # their Drazin index, so they get the zero witness
+        w = _drazin_witness(a, "zero")
         it = index_trace(a, w)
     except MissingSplit as e:
         return IndexReport(c, None, iw, None, notes + (f"trace route unavailable: {e}",)), e

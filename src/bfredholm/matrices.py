@@ -3,7 +3,8 @@
 Desk-scale (n <= 12) linear algebra with plain fraction arithmetic;
 entries are canonical, so equality is structural.  Rank and Drazin
 inverse each come from one row reduction (_rref); the Drazin inverse is
-the closed form A^k X A^k, with no change of basis.
+the closed form A^k X A^k, with no change of basis.  The Drazin index
+alone needs only the ranks of the powers of A.
 """
 
 from __future__ import annotations
@@ -171,6 +172,22 @@ def rank(A: ExactMatrix) -> int:
     return len(pivots)
 
 
+def _index_powers(A: ExactMatrix) -> tuple[int, ExactMatrix, ExactMatrix, int]:
+    """(k, A^k, A^(k+1), rank A^k) for the Drazin index k of A: the
+    smallest k >= 0 with rank(A^k) = rank(A^(k+1))."""
+    A._square()
+    # power = A^k and nxt = A^(k+1); k grows until their ranks agree
+    k, power, nxt, r = 0, identity(A.rows), A, A.rows
+    while (r_next := rank(nxt)) != r:
+        k, power, nxt, r = k + 1, nxt, nxt * A, r_next
+    return k, power, nxt, r
+
+
+def drazin_index(A: ExactMatrix) -> int:
+    """The Drazin index of A, by the rank loop of drazin alone."""
+    return _index_powers(A)[0]
+
+
 def drazin(A: ExactMatrix) -> tuple[ExactMatrix, int]:
     """Drazin inverse by the closed form A^D = A^k X A^k.
 
@@ -180,12 +197,8 @@ def drazin(A: ExactMatrix) -> tuple[ExactMatrix, int]:
     ch. 7), read off one row reduction of [A^(2k+1) | I].  D satisfies
     AD = DA, DAD = D and A^(k+1) D = A^k exactly.
     """
-    A._square()
+    k, power, nxt, r = _index_powers(A)
     n = A.rows
-    # power = A^k and nxt = A^(k+1); k grows until their ranks agree
-    k, power, nxt, r = 0, identity(n), A, n
-    while (r_next := rank(nxt)) != r:
-        k, power, nxt, r = k + 1, nxt, nxt * A, r_next
     if r == 0:  # A^k = 0
         return zeros(n, n), k
     # row c of X is the right half of the pivot row of column c < n

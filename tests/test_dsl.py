@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,13 +11,24 @@ from bfredholm.dsl import (
     BasisSeq,
     FinSeq,
     FRAtom,
+    GeoSeq,
+    IdentityAtom,
+    OpNeg,
+    SBin,
+    SConst,
+    SNeg,
+    SVar,
+    TAtom,
+    _eval_sym,
     evaluate,
     parse,
     parse_scalar,
     pretty,
 )
 from bfredholm.errors import ParseError, SignatureMismatch
+from bfredholm.poly import poly
 from bfredholm.scalars import gr
+from bfredholm.symbols import make_symbol
 
 
 GOOD = [
@@ -175,3 +187,135 @@ def test_identity_times_anything_is_identity_action():
     a = evaluate(parse("T(z - 1/2) * I"))
     b = evaluate(parse("T(z - 1/2)"))
     assert op_equal(a, b)
+
+
+def test_nodes_are_equal_only_to_nodes_of_their_own_type():
+    z = SVar()
+    assert SNeg(z) != TAtom(z) and TAtom(z) != SNeg(z)
+    assert OpNeg(TAtom(z)) != SNeg(TAtom(z))
+    assert SNeg(z) != (z,) and (z,) != SNeg(z)
+    assert SBin("-", z, SConst(gr(2))) != ("-", z, SConst(gr(2)))
+    assert GeoSeq(gr(Fraction(1, 2))) == GeoSeq(gr(Fraction(1, 2)), 0)
+    assert GeoSeq(gr(Fraction(1, 2))) != GeoSeq(gr(Fraction(1, 2)), 1)
+    assert SVar() == SVar() and IdentityAtom() == IdentityAtom() and SVar() != IdentityAtom()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_equal_nodes_have_equal_hashes(seed):
+    ast = random_ast(random.Random(seed))
+    again = parse(pretty(ast))
+    assert again == ast and again is not ast
+    assert hash(again) == hash(ast)
+    assert len({ast, again}) == 1
+
+
+def test_nodes_are_immutable():
+    node = SBin("+", SVar(), SConst(gr(1)))
+    with pytest.raises(AttributeError):
+        node.op = "-"
+    with pytest.raises(AttributeError):
+        del node.left
+    with pytest.raises(AttributeError):
+        node.height = 2
+    seq = FinSeq((gr(1),))
+    with pytest.raises(AttributeError):
+        seq.values = ()
+    assert node == SBin("+", SVar(), SConst(gr(1)))
+
+
+def _gaussian_constants():
+    """Seeded Gaussian rationals, points of the unit circle, and 0."""
+    rng = random.Random(34)
+    cs = [gr(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if k % 3 else 0)
+          for k in range(60)]
+    return cs + [gr(1), gr(-1), gr(0, 1), gr(0, -1), gr(Fraction(3, 5), Fraction(-4, 5)),
+                 gr(Fraction(-5, 13), Fraction(12, 13)), gr(0)]
+
+
+@pytest.mark.parametrize("op", ["+", "-"])
+def test_linear_factors_match_the_expanded_polynomial(op):
+    for c in _gaussian_constants():
+        got = _eval_sym(SBin(op, SVar(), SConst(c)))
+        want = make_symbol(poly([c if op == "+" else -c, 1]), poly([1]))
+        assert (got.num, got.den, got.shift, got.lead) == (want.num, want.den, want.shift, want.lead), c
+        assert got.split == want.split, c
+    # z itself
+    z = _eval_sym(SVar())
+    want = make_symbol(poly([0, 1]), poly([1]))
+    assert (z.num, z.den, z.shift, z.lead, z.split) == (want.num, want.den, want.shift, want.lead, want.split)
+
+
+def test_a_linear_factor_on_the_circle_has_no_split():
+    f = _eval_sym(SBin("-", SVar(), SConst(gr(0, 1))))
+    assert f.split is None and str(f) == "(-i + z)"
+
+
+# the spellings perfbench writes, and other small forms of the grammar
+SPELLINGS = [
+    "T(z - (-2))", "T(z^1)", "T((2) * z)", "T(z^-1)", "T(z - 0)", "T(z + 1/3)",
+    "T((2) * z^1 * (z - (-2)) / ((z - (1/3i))))",
+    "T(z^-1 * (z - (3/2)) / ((z - (-1/2-1/4i))))",
+    "T((-3/2) * z^1 * (z - (-1/2)) / ((z - (-1/3))))",
+    "(T(z - (1/2)) + FR{geo(1/2) | e1}) * T((3) * (z - (-2)) / ((z - (1/2))))",
+    "T(z - (1/2)) + FR{fin[2/3, -1] | fin[-1, 1]; geo(1/4i) | geo(-1/4)}",
+    "T(z) (++) M[[1, -4, 1], [2, -2, 2], [1, 2, 1]]",
+    "(1/2+1/2i) * T(z - (1/2+1/3i))", "T(3 + 2/3i*z)", "T(z - 1/2+1/3i)",
+    "FR{geo(-1/4+1/3i; 2) | fin[1, -2/9i]}", "M[[1/2-1/3i, 0], [-i, 2]]",
+]
+_SPELLING_CHARS = "0123456789zTIFRMfingeo+-*/^()[]{},;| i\n"
+
+
+def _parsed(text: str) -> str:
+    """pretty(parse(text)), or the error it raises with its message."""
+    try:
+        return pretty(parse(text))
+    except Exception as e:  # noqa: BLE001 - the error type is part of the pinned value
+        return f"{type(e).__name__}: {e}"
+
+
+def _spelling_corpus() -> list[str]:
+    """SPELLINGS and 600 seeded one-character mutants of them."""
+    rng = random.Random(34)
+    out = list(SPELLINGS)
+    for _ in range(600):
+        s = rng.choice(SPELLINGS)
+        i = rng.randrange(len(s))
+        edit = rng.choice(("insert", "delete", "replace"))
+        if edit == "delete":
+            out.append(s[:i] + s[i + 1:])
+        else:
+            out.append(s[:i] + rng.choice(_SPELLING_CHARS) + s[i + (edit == "replace"):])
+    return out
+
+
+# taken from the parser before its front end was rewritten
+PINNED_SPELLINGS = {
+    'T(z - (-2))': 'T(z - (-2))',
+    'T(z^1)': 'T(z^1)',
+    'T((2) * z)': 'T((2) * z)',
+    'T(z^-1)': 'T(z^-1)',
+    'T(z - 0)': 'T(z - (0))',
+    'T(z + 1/3)': 'T(z + (1/3))',
+    'T((2) * z^1 * (z - (-2)) / ((z - (1/3i))))': 'T((2) * z^1 * (z - (-2)) / (z - (1/3i)))',
+    'T(z^-1 * (z - (3/2)) / ((z - (-1/2-1/4i))))': 'T(z^-1 * (z - (3/2)) / (z - (-1/2-1/4i)))',
+    'T((-3/2) * z^1 * (z - (-1/2)) / ((z - (-1/3))))': 'T((-3/2) * z^1 * (z - (-1/2)) / (z - (-1/3)))',
+    '(T(z - (1/2)) + FR{geo(1/2) | e1}) * T((3) * (z - (-2)) / ((z - (1/2))))': '(T(z - (1/2)) + FR{geo(1/2) | e1}) * T((3) * (z - (-2)) / (z - (1/2)))',
+    'T(z - (1/2)) + FR{fin[2/3, -1] | fin[-1, 1]; geo(1/4i) | geo(-1/4)}': 'T(z - (1/2)) + FR{fin[2/3, -1] | fin[-1, 1]; geo(1/4i) | geo(-1/4)}',
+    'T(z) (++) M[[1, -4, 1], [2, -2, 2], [1, 2, 1]]': 'T(z) (++) M[[1, -4, 1], [2, -2, 2], [1, 2, 1]]',
+    '(1/2+1/2i) * T(z - (1/2+1/3i))': '(1/2+1/2i) * T(z - (1/2+1/3i))',
+    'T(3 + 2/3i*z)': 'T((3+2/3i) * z)',
+    'T(z - 1/2+1/3i)': 'T(z - (1/2+1/3i))',
+    'FR{geo(-1/4+1/3i; 2) | fin[1, -2/9i]}': 'FR{geo(-1/4+1/3i; 2) | fin[1, -2/9i]}',
+    'M[[1/2-1/3i, 0], [-i, 2]]': 'M[[1/2-1/3i, 0], [-i, 2]]',
+}
+
+
+@pytest.mark.parametrize("text", SPELLINGS)
+def test_spellings_parse_as_before(text):
+    assert _parsed(text) == PINNED_SPELLINGS[text]
+
+
+def test_spelling_mutants_parse_as_before():
+    # SHA-256 of one "text -> pretty(parse(text)) or error" line per input
+    rows = "".join(f"{t!r} -> {_parsed(t)}\n" for t in _spelling_corpus())
+    assert hashlib.sha256(rows.encode()).hexdigest() == "6c9dc5b43e442383ac712149f0aeb11cd4ccebc65c032131b96641fea4507520"

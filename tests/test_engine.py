@@ -111,6 +111,14 @@ def test_drazin_witness_modes_agree():
     assert drazin_witness(a).quotient_index == 3
 
 
+def test_analyze_reads_only_the_drazin_index_of_a_matrix_block(monkeypatch):
+    a = evaluate(parse("T(z - 1/2) (++) M[[0,1,2],[0,0,3],[0,0,0]] (++) M[[2,1],[0,0]]"))
+    want = analyze(a)
+    monkeypatch.setattr(engine, "drazin", None)  # analyze must not form a Drazin inverse
+    assert analyze(a) == want
+    assert (want.index_trace, want.quotient_index) == (-1, 3)
+
+
 def test_nilpotent_beside_product_is_certified_in_the_quotient():
     # d3 = a^(p+1) a0 - a^p with p = 3 used to power the whole product
     f = "T((z - 2) * (z - 1/2) / ((z - 1/3) * (z - 3)))"

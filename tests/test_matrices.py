@@ -6,6 +6,7 @@ import pytest
 from bfredholm.matrices import (
     charpoly,
     drazin,
+    drazin_index,
     identity,
     is_nilpotent,
     jordan_nilpotent,
@@ -100,9 +101,8 @@ def _conjugated(rng, A):
     return P * A * inverse(P)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_drazin_matches_the_fitting_reference(seed):
-    # invertible, conjugated Jordan, mixed, zero, identity and 0x0 matrices
+def _drazin_cases(seed):
+    """Invertible, conjugated Jordan, mixed, zero, identity and 0x0 matrices."""
     rng = random.Random(seed)
     cases = [zeros(0, 0), zeros(1, 1), zeros(3, 3), identity(1), identity(3)]
     for n in (1, 2, 3, 4):
@@ -111,8 +111,19 @@ def test_drazin_matches_the_fitting_reference(seed):
     for inv_size, nil_size in ((1, 1), (1, 2), (2, 2), (3, 1)):
         cases.append(_conjugated(rng, _block_diag(_rand_invertible(rng, inv_size), jordan_nilpotent(nil_size))))
     cases.append(_conjugated(rng, _block_diag(jordan_nilpotent(2), jordan_nilpotent(1))))
-    for A in cases:
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_drazin_matches_the_fitting_reference(seed):
+    for A in _drazin_cases(seed):
         assert drazin(A) == drazin_reference(A)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_drazin_index_is_the_index_of_drazin(seed):
+    for A in _drazin_cases(seed):
+        assert drazin_index(A) == drazin(A)[1]
 
 
 def test_drazin_invertible_matrix():

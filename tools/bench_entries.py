@@ -32,9 +32,12 @@ change) are timed under the same load:
   (``polynomial_us``), ``laurent_expansion`` of a fresh split symbol
   (``laurent_expansion_us``), ``op_entry`` per entry of a 16 x 16 window of
   ``PRODUCT`` that was read once before, so that only the entry sum is
-  timed (``entry_sum_us``), and ``_drazin_witness`` and ``index_trace``
-  per operator (``drazin_witness_ms``, ``index_trace_ms``, each the median
-  of ``PASSES`` passes over freshly evaluated operators); also
+  timed (``entry_sum_us``), ``parse`` and ``evaluate`` per text of
+  ``SPLIT_OPERATORS`` (``parse_ms``, ``evaluate_ms``), and
+  ``_drazin_witness`` and ``index_trace`` per operator
+  (``drazin_witness_ms``, ``index_trace_ms``), each the median of
+  ``PASSES`` passes over fresh ASTs and operators; the witness is the one
+  ``analyze`` builds, with a zero block for each matrix block; also
   ``_drazin_witness`` per operator of ``MATRIX_OPERATORS``, a fixed seeded
   list of split symbols beside 2 x 2 and 3 x 3 nilpotent, invertible and
   mixed matrix blocks (``drazin_witness_matrix_ms``), and ``drazin`` per
@@ -201,12 +204,22 @@ def per_call(fn, args, reps):
             fn(*a)
     return (time.perf_counter() - start) / (reps * len(args))
 
+parse_ms, evaluate_ms = [], []
+for _ in range(passes):
+    start = time.perf_counter()
+    asts = [parse(t) for t in texts]
+    mid = time.perf_counter()
+    for a in asts:
+        evaluate(a)
+    parse_ms.append((mid - start) * 1e3 / len(texts))
+    evaluate_ms.append((time.perf_counter() - mid) * 1e3 / len(texts))
+    reference_pass()
 witness_ms, trace_ms = [], []
 for _ in range(passes):
     witness_s = trace_s = 0.0
     for a in [evaluate(parse(t)) for t in texts]:
         start = time.perf_counter()
-        w = _drazin_witness(a, "drazin")
+        w = _drazin_witness(a, "zero")
         mid = time.perf_counter()
         index_trace(a, w)
         witness_s += mid - start
@@ -215,7 +228,7 @@ for _ in range(passes):
     trace_ms.append(trace_s * 1e3 / len(texts))
     reference_pass()
 matrix_ops = [evaluate(parse(t)) for t in json.loads(sys.argv[2])]
-witness_args = [(a, "drazin") for a in matrix_ops]
+witness_args = [(a, "zero") for a in matrix_ops]
 per_call(_drazin_witness, witness_args, 1)  # warms the interpreter up
 matrices = [(b.m,) for a in matrix_ops for b in a.blocks if isinstance(b, MatrixBlock)]
 coeffs = (gr(1, 2), gr(3), gr(0, -1))
@@ -231,6 +244,8 @@ print(json.dumps({
         "polynomial_us": per_call(Polynomial, [(coeffs,)] * 1000, 100) * 1e6,
         "laurent_expansion_us": per_call(laurent_expansion, fresh, 1) * 1e6,
         "entry_sum_us": per_call(op_entry, window, 20) * 1e6,
+        "parse_ms": statistics.median(parse_ms),
+        "evaluate_ms": statistics.median(evaluate_ms),
         "drazin_witness_ms": statistics.median(witness_ms),
         "index_trace_ms": statistics.median(trace_ms),
         "drazin_witness_matrix_ms": per_call(_drazin_witness, witness_args, 5) * 1e3,

@@ -9,12 +9,12 @@ Drazin witness, and minus the sum of symbol winding numbers — and the
 two must agree.  analyze is the one runner of the two routes; the
 theorem verifiers read its reports.
 
-The trace route forms no operator product: index_trace sums two
-hankel_trace pairings per Toeplitz block (Helton and Howe 1973).
-verify_well_defined and the trace-axiom suite still form full products
-(_commutator_index, _commutator_trace): a perturbation a0 + j changes
-only what the pairings leave out, so only the product can show that the
-trace ignores it.  They are the product layer's cross-check.
+The trace route forms no operator product: index_trace takes both
+Widom pairings of each Toeplitz block as residue sums at the split's
+roots (symbols.widom_pairings; Helton and Howe 1973).  A perturbation
+a0 + j changes only what the pairings leave out, so verify_well_defined
+and the trace-axiom suite still form full products (_commutator_index,
+_commutator_trace) as the product layer's cross-check.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .operators import (
     ToeplitzBlock,
     _check_signature,
     embed_finite_rank,
-    hankel_trace,
     identity_like,
     op_arith,
     op_equal,
@@ -60,6 +59,7 @@ from .symbols import (
     make_symbol,
     sym_arith,
     sym_pow,
+    widom_pairings,
     winding_number,
 )
 
@@ -111,8 +111,8 @@ class DrazinWitness:
     in block order.  A matrix block lies in the ideal whole, so it gets a
     witness and a Drazin index but no defect.  The certificate is that
     every symbol difference is the zero symbol.  index_trace reads only
-    the symbols of a and of the witness: two Hankel pairings per Toeplitz
-    block, with no commutator formed.
+    the symbols of a and of the witness: both Widom pairings of each
+    Toeplitz block, with no commutator formed.
     """
 
     inverse: BlockOperator
@@ -199,7 +199,7 @@ def index_trace(a: BlockOperator, witness: DrazinWitness | None = None) -> int:
     """i(a) = tau(a a0 - a0 a) for a Drazin witness a0; exact integer.
 
     Summed block by block as W(g, f) - W(f, g), f the symbol of a, g that
-    of a0 and W = hankel_trace, as T(f)T(g) = T(fg) - H(f)H(g~).  A
+    of a0 and W the Widom pairing, as T(f)T(g) = T(fg) - H(f)H(g~).  A
     finite-rank F has tau([F, X]) = 0, so corrections and matrix blocks add
     nothing, and scalar symbols commute, so the formula holds for any a0 of
     a's signature.  No product is formed.
@@ -207,13 +207,10 @@ def index_trace(a: BlockOperator, witness: DrazinWitness | None = None) -> int:
     if witness is None:
         witness = drazin_witness(a)
     _check_signature(a, witness.inverse)
-    pairs = []  # (block, W(g, f), W(f, g))
-    for k, (x, y) in enumerate(zip(a.blocks, witness.inverse.blocks)):
-        if isinstance(x, ToeplitzBlock):
-            # W(f, g) first: f is expanded before g, so a MissingSplit names
-            # the symbol that the product a a0 would
-            wfg = hankel_trace(x.symbol, y.symbol)
-            pairs.append((k, hankel_trace(y.symbol, x.symbol), wfg))
+    # (block, W(g, f), W(f, g)); f's split is checked before g's, so a
+    # MissingSplit names the symbol that the product a a0 would
+    pairs = [(k, *widom_pairings(x.symbol, y.symbol))
+             for k, (x, y) in enumerate(zip(a.blocks, witness.inverse.blocks)) if isinstance(x, ToeplitzBlock)]
     t = sum((wgf - wfg for _, wgf, wfg in pairs), ZERO)
     if not t.is_rational_integer():
         k, wgf, wfg = next(p for p in pairs if not (p[1] - p[2]).is_rational_integer())

@@ -5,8 +5,7 @@ Products of Toeplitz blocks stay in class because the defect
 T(fg) - T(f)T(g) = H(f) H(g~), with g~(z) = g(1/z), is a product of two
 Hankel operators of finite rank for rational symbols (Boettcher and
 Silbermann, Prop. 2.14), built as exact outer products from the symbols'
-Laurent expansions, so traces downstream remain exact.  hankel_trace
-gives the trace of that defect as one pairing, without building it.
+Laurent expansions, so traces downstream remain exact.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from .finiterank import FR_ZERO, FiniteRankOperator, _entry_sum, fr_is_zero, mak
 from .matrices import ExactMatrix, identity as mat_identity
 from .poly import Polynomial, from_roots
 from .scalars import GaussianRational, ONE, ZERO, gr
-from .sequences import RationalSequence, SEQ_ZERO, make_sequence, pairing
+from .sequences import RationalSequence, SEQ_ZERO, make_sequence
 from .symbols import (
     RationalSymbol,
     ZERO_SYMBOL,
@@ -127,27 +126,6 @@ def hankel_defect(f: RationalSymbol, g: RationalSymbol) -> FiniteRankOperator:
     if len(B.terms) <= len(A.terms):
         return _hankel_product(a, A, B, len(b.head))
     return _hankel_product(b, B, A, len(a.head)).transpose()
-
-
-def hankel_trace(f: RationalSymbol, g: RationalSymbol) -> GaussianRational:
-    """tau(hankel_defect(f, g)) = sum_{n>=1} n fhat(n) ghat(-n), without
-    forming the defect (Widom; Boettcher and Silbermann, Sect. 2).  With a
-    and b as in hankel_defect, the trace sum_m (m + 1) a(m) b(m) is one
-    pairing of b with A(m) = (m + 1) a(m): head entry k times k + 1 and
-    each tail polynomial p(n) times n + 1, which keeps A canonical.  f is
-    expanded before g, as in hankel_defect."""
-    if f.is_zero() or g.is_zero():
-        return ZERO
-    a = laurent_expansion(f).pos.drop(1)
-    b = laurent_expansion(g).neg
-    if a.is_zero() or b.is_zero():
-        return ZERO
-    n_plus_1 = Polynomial((ONE, ONE))
-    A = RationalSequence(
-        tuple(x * gr(k + 1) for k, x in enumerate(a.head)),
-        tuple((r, p * n_plus_1) for r, p in a.tails),
-    )
-    return pairing(A, b)
 
 
 # ---------------------------------------------------------------------------

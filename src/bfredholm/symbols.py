@@ -10,8 +10,8 @@ A symbol may carry a CircleSplit witness: its zeros and poles with
 multiplicities, none on the unit circle.  The split is what makes
 Fourier coefficients and inverse symbols exactly computable; winding
 numbers never need it.  Which side of the circle a root lies on is read
-where it is used, by the partial fractions of the expansion.  A symbol
-computes its Laurent expansion on the first read and keeps it.
+where it is used: by the expansion, which a symbol computes on the first
+read and keeps, and by widom_pairings, which sums residues at the roots.
 
 A split symbol made by make_factored (products, scalings, inverses and
 powers of split symbols) holds its leading coefficient and its split,
@@ -317,8 +317,12 @@ def sym_div(f: RationalSymbol, g: RationalSymbol) -> RationalSymbol:
 def sym_pow(f: RationalSymbol, k: int) -> RationalSymbol:
     """f^k in one step.  A split symbol multiplies its multiplicities by k.
     Otherwise num^k and den^k are coprime and canonical as num and den
-    are, and have no split, since f^k splits only when f does."""
+    are, and have no split, since f^k splits only when f does.  A negative
+    power of a nonzero symbol with no split inverts through make_symbol,
+    as sym_div does, so a circle zero of num raises PoleOnCircle."""
     if k < 0:
+        if f.split is None and not f.is_zero():
+            return sym_pow(make_symbol(f.den, f.num, -f.shift), -k)
         return sym_pow(invert_symbol(f), -k)
     if k == 0:
         return make_factored(ONE, 0, [], [])
@@ -475,3 +479,84 @@ def _residues_at(rem: Polynomial, poles: dict, p: GaussianRational, m: int):
 def fourier_coeff(f: RationalSymbol, n: int) -> GaussianRational:
     """The n-th Laurent coefficient of f on the annulus of the circle."""
     return laurent_expansion(f).value(n)
+
+
+# ---------------------------------------------------------------------------
+# Widom pairings as residue sums at the roots.
+# ---------------------------------------------------------------------------
+
+
+def widom_pairings(f: RationalSymbol, g: RationalSymbol) -> tuple[GaussianRational, GaussianRational]:
+    """(W(g, f), W(f, g)), with W(f, g) = sum_{n>=1} n fhat(n) ghat(-n).
+
+    W(f, g) is the circle integral of f+' g / (2 pi i), f+ being f less its
+    principal parts at its inside poles (Boettcher and Silbermann, Sect. 2;
+    Helton and Howe 1973): the sum of k d_k F_k over the inside poles q of
+    g, sum_k d_k (z-q)^-k being g's principal part at q and F_k the Taylor
+    coefficients of f+ at q.  W(f, g) = 0 when f has no pole outside and is
+    bounded at infinity, as then fhat(n) = 0 for n >= 1.
+    """
+    if f.is_zero() or g.is_zero():
+        return ZERO, ZERO
+    for h in (f, g):  # f first, so that a MissingSplit names f when both lack a split
+        if h.split is None:
+            raise MissingSplit(f"symbol {h} has no CircleSplit; coefficients unavailable")
+    # f = lead * prod (z - r)^e_r: +m at a zero, -m at a pole, shift at 0
+    ef, eg = ({**dict(h.split.zeros), **{p: -m for p, m in h.split.poles}, **({ZERO: h.shift} if h.shift else {})}
+              for h in (f, g))
+    flat_f, flat_g = (sum(e.values()) <= 0 and all(m > 0 or _inside(r) for r, m in e.items()) for e in (ef, eg))
+    if flat_f and flat_g:
+        return ZERO, ZERO
+    # [c_1..c_m] of sum_k c_k (z - p)^-k at each inside pole p, for both pairings
+    pf, pg = ({p: _taylor_at(h.lead, e, p, -m)[::-1] for p, m in e.items() if m < 0 and _inside(p)}
+              for h, e in ((f, ef), (g, eg)))
+    return (ZERO if flat_g else _widom(g.lead, eg, pg, pf),
+            ZERO if flat_f else _widom(f.lead, ef, pf, pg))
+
+
+def _inside(r: GaussianRational) -> bool:
+    a, b, d = r
+    return a * a + b * b < d * d
+
+
+def _taylor_at(lead: GaussianRational, exps: dict, q: GaussianRational, n: int) -> list:
+    """The first n Taylor coefficients at q of lead * prod_{r != q} (z - r)^e_r:
+    a series in u = z - q, times or divided by (u + q - r) once per factor."""
+    s = [lead] + [ZERO] * (n - 1)
+    for r, e in exps.items():
+        if r != q:
+            c = q - r if e > 0 else (q - r).inv()
+            for _ in range(abs(e)):
+                if e > 0:  # s (u + q - r)
+                    for j in range(n - 1, 0, -1):
+                        s[j] = s[j] * c + s[j - 1]
+                    s[0] = s[0] * c
+                else:  # s / (u + q - r), c being 1 / (q - r)
+                    s[0] = s[0] * c
+                    for j in range(1, n):
+                        s[j] = (s[j] - s[j - 1]) * c
+    return s
+
+
+def _widom(lead: GaussianRational, ef: dict, pf: dict, pg: dict) -> GaussianRational:
+    """W(f, g) from f = lead * prod (z - r)^ef_r and both principal parts."""
+    total = ZERO
+    for q, d in pg.items():
+        # F_j: the Taylor coefficient of f, or of its regular part, at q, less
+        # those of f's other principal parts: c_k (u + a)^-k has u^j
+        # coefficient c_k (-1)^j C(k+j-1, j) a^-(k+j)
+        m, e = len(d), ef.get(q, 0)
+        s = _taylor_at(lead, ef, q, m + 1 - e) if m >= e else []
+        F = [s[j - e] if j >= e else ZERO for j in range(1, m + 1)]
+        for p, c in pf.items():
+            if p != q:
+                pw = [(q - p).inv()]
+                for _ in range(len(c) + m - 1):
+                    pw.append(pw[-1] * pw[0])
+                binom = [1] * len(c)  # C(k+j-1, j) for k = 1.., from j = 0
+                for j in range(1, m + 1):
+                    binom = [b * (k + j) // j for k, b in enumerate(binom)]
+                    acc = sum((ck * pw[k + j] * gr(b) for k, (ck, b) in enumerate(zip(c, binom))), ZERO)
+                    F[j - 1] = F[j - 1] + acc if j % 2 else F[j - 1] - acc
+        total = sum((dk * F[k] * gr(k + 1) for k, dk in enumerate(d)), total)
+    return total

@@ -17,6 +17,11 @@ used: entries sum_k a(i+k) b(j+k) written out head against head, head
 against tail and tail against tail.  The library forms it as a product
 of two Hankel operators.
 
+The Widom pairing W(f, g) = sum_{n>=1} n fhat(n) ghat(-n) is kept as the
+sequence pairing the library once ran on both Laurent expansions
+(hankel_trace).  The library sums residues at the roots of the split
+instead, with no expansion.
+
 When a product raises MissingSplit is kept as the rule the library once
 tested up front; the library now raises where a coefficient is read.
 
@@ -80,6 +85,7 @@ from bfredholm.symbols import (
     _merge_roots,
     _residues_at,
     invert_symbol,
+    laurent_expansion,
     make_factored,
     make_symbol,
     sym_arith,
@@ -235,6 +241,27 @@ def hankel_cross_reference(a: RationalSequence, b: RationalSequence) -> FiniteRa
                     v = v + beta.scale(w[e + fdeg])
                 terms.append((make_sequence([], [(rho, alpha)]), make_sequence([], [(sigma, v)])))
     return make_finite_rank(terms)
+
+
+def hankel_trace(f: RationalSymbol, g: RationalSymbol) -> GaussianRational:
+    """tau(hankel_defect(f, g)) = sum_{n>=1} n fhat(n) ghat(-n), without
+    forming the defect (Widom; Boettcher and Silbermann, Sect. 2).  With a
+    and b as in hankel_defect, the trace sum_m (m + 1) a(m) b(m) is one
+    pairing of b with A(m) = (m + 1) a(m): head entry k times k + 1 and
+    each tail polynomial p(n) times n + 1, which keeps A canonical.  f is
+    expanded before g, as in hankel_defect."""
+    if f.is_zero() or g.is_zero():
+        return ZERO
+    a = laurent_expansion(f).pos.drop(1)
+    b = laurent_expansion(g).neg
+    if a.is_zero() or b.is_zero():
+        return ZERO
+    n_plus_1 = Polynomial((ONE, ONE))
+    A = RationalSequence(
+        tuple(x * gr(k + 1) for k, x in enumerate(a.head)),
+        tuple((r, p * n_plus_1) for r, p in a.tails),
+    )
+    return pairing(A, b)
 
 
 def product_correction_reference(

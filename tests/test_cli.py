@@ -52,6 +52,25 @@ def test_analyze_not_in_class_exit_2(capsys):
     assert "NotInClass" in out
 
 
+@pytest.mark.parametrize(
+    "power, quotient, expected",
+    [
+        ("T((z^2 - 1/3)^-1)", "T(1/(z^2 - 1/3))", "index (winding route): 2"),
+        ("T((z^2 - 1/3)^-2)", "T(1/(z^2 - 1/3)^2)", "index (winding route): 4"),
+        ("T((z^2+1)^-1)", "T(1/(z^2+1))", "error: denominator 1 + z^2 vanishes on the unit circle"),
+    ],
+)
+def test_a_negative_power_of_a_split_free_symbol_reads_as_its_quotient(capsys, power, quotient, expected):
+    outputs = [run(capsys, "analyze", text, *fmt) for fmt in ((), ("--format", "json")) for text in (power, quotient)]
+    assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+    assert expected in outputs[0][1] + outputs[0][2]
+
+
+def test_a_negative_power_of_zero_has_no_inverse(capsys):
+    code, _, err = run(capsys, "analyze", "T(0^-1)")
+    assert code == 2 and "the zero symbol has no inverse" in err
+
+
 @pytest.mark.parametrize("text, index", [("T(4 + 1*z)", "0"), ("T(4 + z)", "0"), ("T(z - 1 - 2*z)", None)])
 def test_real_literal_parts_are_added_as_terms(capsys, text, index):
     # 4 + 1*z is 4 + z, not 5*z; z - 1 - 2*z = -1 - z vanishes at z = -1

@@ -357,7 +357,7 @@ def test_verifiers_reject_not_in_class():
         verify_power_law(a, 2)
 
 
-# The trace route sums two Hankel pairings per Toeplitz block; the full
+# The trace route sums both Widom pairings of each Toeplitz block; the full
 # commutator _commutator_index is the reference it must equal.
 
 
@@ -388,21 +388,24 @@ def test_index_trace_is_the_trace_of_the_full_commutator():
 
 
 def test_a_wrong_pairing_is_an_oracle_mismatch(monkeypatch):
-    right = engine.hankel_trace
-    monkeypatch.setattr(engine, "hankel_trace", lambda f, g: -right(f, g))
+    right = engine.widom_pairings
+    monkeypatch.setattr(engine, "widom_pairings", lambda f, g: tuple(-w for w in right(f, g)))
     with pytest.raises(OracleMismatch, match="index_trace=1 disagrees with index_winding=-1"):
         analyze(TZ)
 
 
 def _half_on_call(monkeypatch, n: int) -> list:
-    """Adds 1/2 to the n-th hankel_trace value the engine reads; returns the values read."""
-    right, values = engine.hankel_trace, []
+    """Adds 1/2 to the n-th pairing value the engine reads, in the order
+    W(f, g), W(g, f) per block; returns the values read."""
+    right, values = engine.widom_pairings, []
 
     def forced(f, g):
-        values.append(right(f, g) + (gr(Fraction(1, 2)) if len(values) == n - 1 else gr(0)))
-        return values[-1]
+        wgf, wfg = right(f, g)
+        for w in (wfg, wgf):
+            values.append(w + (gr(Fraction(1, 2)) if len(values) == n - 1 else gr(0)))
+        return values[-1], values[-2]
 
-    monkeypatch.setattr(engine, "hankel_trace", forced)
+    monkeypatch.setattr(engine, "widom_pairings", forced)
     return values
 
 
@@ -410,7 +413,7 @@ NON_INTEGER = "T(z) (++) M[[0,1],[0,0]] (++) T((z-1/2)/(z-3))"
 
 
 def test_a_non_integer_pairing_names_its_block(monkeypatch):
-    # calls: W(f, g) and W(g, f) of block 0, then of block 2
+    # values read: W(f, g) and W(g, f) of block 0, then of block 2
     values = _half_on_call(monkeypatch, 3)
     with pytest.raises(NonIntegerTrace) as info:
         analyze(_op(NON_INTEGER))

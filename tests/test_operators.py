@@ -18,7 +18,6 @@ from bfredholm.operators import (
     direct_sum,
     embed_finite_rank,
     hankel_defect,
-    hankel_trace,
     identity_like,
     matrix_operator,
     op_arith,
@@ -51,6 +50,7 @@ from bfredholm.symbols import (
 )
 from references import (
     hankel_cross_reference,
+    hankel_trace,
     product_correction_reference,
     product_needs_split_reference,
     random_finite_rank,

@@ -13,6 +13,7 @@ from bfredholm.poly import poly
 from bfredholm.scalars import gr
 from bfredholm.sequences import seq_basis, seq_geo
 from bfredholm.symbols import (
+    ZERO_SYMBOL,
     fourier_coeff,
     invert_symbol,
     laurent_expansion,
@@ -21,9 +22,11 @@ from bfredholm.symbols import (
     sym_arith,
     sym_equal,
     sym_pow,
+    sym_scale,
+    widom_pairings,
     winding_number,
 )
-from references import random_symbol, sym_pow_reference
+from references import hankel_trace, random_symbol, sym_pow_reference
 
 Z = make_symbol(poly([0, 1]), poly([1]))
 F1 = make_symbol(poly([gr(Fraction(-1, 2)), 1]), poly([1]))          # z - 1/2
@@ -191,3 +194,112 @@ def test_sym_pow_matches_repeated_products(k):
         if k >= 0 or f.split is not None:
             got, want = sym_pow(f, k), sym_pow_reference(f, k)
             assert got == want and got.split == want.split and got.lead == want.lead, (str(f), k)
+
+
+# ---------------------------------------------------------------------------
+# Widom pairings by residues, against the expansion pairing (hankel_trace).
+# ---------------------------------------------------------------------------
+
+
+def _side_root(rng: random.Random, inside: bool):
+    """A root with modulus at most 3/4 (inside) or in [4/3, 3] (outside)."""
+    while True:
+        d = rng.randint(2, 4)
+        r = gr(Fraction(rng.randint(-3 * d, 3 * d), d), Fraction(rng.choice((0, rng.randint(-2 * d, 2 * d))), d))
+        if (0 < r.abs2() <= Fraction(9, 16)) if inside else (Fraction(16, 9) <= r.abs2() <= 9):
+            return r
+
+
+def _index_mix_symbol(rng: random.Random):
+    """Simple zeros and poles on either side and a shift in -2..2, as the
+    symbol of a product of two index-mix factors."""
+    zeros = [(_side_root(rng, rng.random() < 0.5), 1) for _ in range(rng.randint(1, 3))]
+    poles = [(_side_root(rng, rng.random() < 0.5), 1) for _ in range(rng.randint(1, 2))]
+    scale = gr(Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2)))
+    return make_factored(scale, rng.randint(-2, 2), zeros, poles)
+
+
+# inside: 1/2, -1/3+1/4i, 2/3i, -1/5; outside: 3, -5/2+i, 4/3-2/3i
+_ROOTS = [gr(Fraction(1, 2)), gr(Fraction(-1, 3), Fraction(1, 4)), gr(0, Fraction(2, 3)), gr(Fraction(-1, 5)),
+          gr(3), gr(Fraction(-5, 2), 1), gr(Fraction(4, 3), Fraction(-2, 3))]
+
+
+def _rooted_symbol(rng: random.Random):
+    """Zero, or one to four roots from a pool of seven with multiplicities
+    1 to 3 and a shift in -3..3, so that two draws often share a pole."""
+    if rng.random() < 0.1:
+        return ZERO_SYMBOL
+    zeros, poles = [], []
+    for r in rng.sample(_ROOTS, rng.randint(1, 4)):
+        (zeros if rng.random() < 0.5 else poles).append((r, rng.randint(1, 3)))
+    return make_factored(gr(rng.randint(1, 3), rng.randint(-2, 2)), rng.randint(-3, 3), zeros, poles)
+
+
+def _split_random_symbol(rng: random.Random):
+    """random_symbol, drawn again until it is zero or has a split."""
+    while True:
+        f = random_symbol(rng)
+        if f.is_zero() or f.split is not None:
+            return f
+
+
+def _inside_poles(f) -> set:
+    """The inside poles of f other than 0."""
+    return {p for p, _ in f.split.poles if p.abs2() < 1} if f.split is not None else set()
+
+
+def _check_both_ways(f, g):
+    assert widom_pairings(f, g) == (hankel_trace(g, f), hankel_trace(f, g)), (f, g)
+    assert widom_pairings(g, f) == (hankel_trace(f, g), hankel_trace(g, f)), (f, g)
+
+
+def test_widom_pairings_of_index_mix_symbols_and_their_inverses():
+    rng = random.Random(38)
+    for _ in range(150):
+        f = _index_mix_symbol(rng)
+        _check_both_ways(f, invert_symbol(f))
+        _check_both_ways(f, sym_scale(invert_symbol(f), gr(Fraction(-2, 3), 1)))
+
+
+def test_widom_pairings_on_multiple_roots_shifts_and_shared_poles():
+    rng = random.Random(39)
+    seen = {"shared inside pole": 0, "triple root": 0, "negative shift": 0, "positive shift": 0, "zero": 0}
+    for _ in range(400):
+        f, g = _rooted_symbol(rng), _rooted_symbol(rng) if rng.random() < 0.7 else _split_random_symbol(rng)
+        _check_both_ways(f, g)
+        seen["shared inside pole"] += bool(_inside_poles(f) & _inside_poles(g))
+        seen["zero"] += f.is_zero() or g.is_zero()
+        for h in (f, g):
+            seen["triple root"] += any(m == 3 for _, m in h.split.zeros + h.split.poles) if h.split else 0
+            seen["negative shift"] += h.shift < 0
+            seen["positive shift"] += h.shift > 0
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize(
+    "f, g, nonzero",
+    [
+        # no pole outside and bounded at infinity: fhat(n) = 0 for n >= 1
+        ("(z-1/2)^2/(z-1/3)^2", "(z-1/3)^2/(z-1/2)^2", False),
+        ("z^-1*(z-3)/(z-1/2)", "1/(z-1/4)^2", False),
+        # a pole outside, or a pole at infinity: the pairing is not zero
+        ("1/(z-3)", "1/(z-1/2)", True),
+        ("(z-1/2)^2/((z-1/3)*(z-3))", "(z-1/3)*(z-3)/(z-1/2)^2", True),
+        ("z*(z-1/2)/(z-1/3)", "(z-1/3)/(z*(z-1/2))", True),
+    ],
+)
+def test_widom_pairing_of_a_symbol_bounded_outside_the_disk(f, g, nonzero):
+    f, g = (evaluate(parse(f"T({s})")).blocks[0].symbol for s in (f, g))
+    _check_both_ways(f, g)
+    assert (not widom_pairings(f, g)[1].is_zero()) == nonzero
+
+
+def test_widom_pairings_name_the_first_symbol_without_a_split():
+    f = make_symbol(poly([5, 1, 0, 1]), poly([1]))  # z^3 + z + 5
+    g = make_symbol(poly([1]), poly([5, 1, 0, 1]))
+    for left, right in ((f, g), (g, f), (F1, g)):
+        with pytest.raises(MissingSplit) as info:
+            widom_pairings(left, right)
+        named = left if left.split is None else right
+        assert str(info.value) == f"symbol {named} has no CircleSplit; coefficients unavailable"
+    assert widom_pairings(ZERO_SYMBOL, f) == widom_pairings(g, ZERO_SYMBOL) == (gr(0), gr(0))

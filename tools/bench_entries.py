@@ -47,7 +47,19 @@ change) are timed under the same load:
   symbol with no circle split;
 - ``verify_all_s``: ``bfredholm verify --suite all``, with its output's
   SHA-256;
-- ``cold_start_s``: ``import bfredholm.cli`` in a new interpreter.
+- ``cold_start_s``: ``import bfredholm.cli`` in a new interpreter;
+- ``budget_trace_ms``: ``index_trace`` alone on each of ``BUDGET_TRACE``,
+  inputs with poles and zeros of order 4 to 16, as the best of
+  ``PASSES`` calls on fresh operators (in process);
+- ``ab``, with two or more sides: each side's ``bfredholm`` is copied
+  under its own package name, and one interpreter imports them all and
+  takes ``AB_ROUNDS`` rounds over the texts of a 25-second perfbench
+  index-mix run, for each of ``AB_SEEDS``, the sides taking turns in
+  alternating order.  A round times the trace stage (``index_trace`` on
+  fresh operators, their witnesses built untimed) and the whole op
+  (parse, evaluate and ``analyze``) per text, and the runner stops if the
+  sides' outputs differ.  Each side's ratio to the first side is taken
+  per round, and their median is reported.
 
 ``op_entry_window_ms``, ``analyze_split_ms`` and ``layers`` are in-process;
 the other timings include process start and follow one untimed run per side
@@ -68,9 +80,11 @@ import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -160,6 +174,14 @@ def _matrix_operators() -> list[str]:
 
 MATRIX_OPERATORS = _matrix_operators()
 SPLIT16 = "T((z-1/2)^16/(z-3)^16)"
+BUDGET_TRACE = (
+    "T((z-1/2)^16/(z-1/3)^16)",
+    SPLIT16,
+    "T(z^-5 * (z-1/2)^10 * (z-(1/3+1/4i))^6 / ((z-3)^8 * (z-1/5)^8))",
+    "T((z-1/2)^4*(z-2)^4/((z-1/3)^4*(z-3)^4)) * T((z-(1/4i))^4/(z-5)^4)",
+)
+AB_SEEDS = (1, 47)  # 47 was not used while the residue pairing was written
+AB_ROUNDS = 10
 POWER_20 = "T(((z^3+z+5)/(z^2-3))^20)"
 
 REFERENCE = """
@@ -184,7 +206,7 @@ from bfredholm.operators import MatrixBlock, ToeplitzBlock, op_entry
 from bfredholm.poly import Polynomial, from_roots
 from bfredholm.scalars import ONE, gr
 from bfredholm.symbols import laurent_expansion, make_factored
-texts, passes = json.loads(sys.argv[1]), int(sys.argv[4])
+texts, passes, budget = json.loads(sys.argv[1]), int(sys.argv[4]), json.loads(sys.argv[5])
 analyze_ms = []
 for _ in range(passes + 1):  # the first pass warms the interpreter up
     start = time.perf_counter()
@@ -236,7 +258,20 @@ fresh = [(make_factored(gr(2), 0, s.zeros, s.poles),) for s in splits * 20]
 product = evaluate(parse(sys.argv[3]))
 window = [(product, 0, i, j) for i in range(16) for j in range(16)]
 per_call(op_entry, window, 1)  # the first read keeps every value the entries need
+
+def best_trace_ms(text):
+    best = None
+    for _ in range(passes):
+        a = evaluate(parse(text))
+        w = _drazin_witness(a, "zero")
+        start = time.perf_counter()
+        index_trace(a, w)
+        ms = (time.perf_counter() - start) * 1e3
+        best = ms if best is None else min(best, ms)
+    return best
+
 print(json.dumps({
+    "budget_trace_ms": {text: best_trace_ms(text) for text in budget},
     "reference_ms": statistics.median(reference[1:]),
     "analyze_split_ms": statistics.median(analyze_ms[1:]),
     "layers": {
@@ -252,6 +287,44 @@ print(json.dumps({
         "drazin_us": per_call(drazin, matrices, 20) * 1e6,
     },
 }))
+"""
+
+AB_TIMER = """
+import importlib, json, random, statistics, sys, time
+from workloads import INDEX_MIX, make_cases
+labels, seed, rounds = json.loads(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+cases = make_cases(INDEX_MIX, random.Random(f"index-mix:{seed}"), round(25 * INDEX_MIX.rounds_per_second), set())
+texts = [c.text for c in cases]
+sides = {label: (importlib.import_module(f"bf_{label}"), importlib.import_module(f"bf_{label}.engine"))
+         for label in labels}
+
+def trace_stage(bf, engine):
+    ops = [bf.evaluate(bf.parse(t)) for t in texts]
+    witnesses = [engine._drazin_witness(a, "zero") for a in ops]
+    start = time.perf_counter()
+    out = [engine.index_trace(a, w) for a, w in zip(ops, witnesses)]
+    return (time.perf_counter() - start) * 1e3 / len(texts), out
+
+def whole_op(bf, engine):
+    start = time.perf_counter()
+    out = [repr(bf.analyze(bf.evaluate(bf.parse(t)))) for t in texts]
+    return (time.perf_counter() - start) * 1e3 / len(texts), out
+
+units = {"trace_stage_ms": trace_stage, "whole_op_ms": whole_op}
+for bf, engine in sides.values():  # warms the interpreter up
+    for unit in units.values():
+        unit(bf, engine)
+times = {name: {label: [] for label in labels} for name in units}
+for r in range(rounds):
+    outputs = {}
+    for label in (labels if r % 2 == 0 else labels[::-1]):
+        for name, unit in units.items():
+            ms, out = unit(*sides[label])
+            times[name][label].append(ms)
+            outputs.setdefault(name, []).append(out)
+    if any(out != outs[0] for outs in outputs.values() for out in outs):
+        sys.exit(f"the sides' outputs differ on index-mix seed {seed}")
+print(json.dumps(times))
 """
 
 WINDOW_TIMER = """
@@ -315,6 +388,29 @@ def _timed(sides: dict[str, Path], args: list[str], repeat: int) -> dict:
     return out
 
 
+def in_process_ab(sides: dict[str, Path]) -> dict:
+    """The trace stage and the whole index-mix op of every side, in one
+    interpreter, each side's bfredholm imported as bf_<label>."""
+    root = Path(__file__).resolve().parent.parent
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, src in sides.items():
+            shutil.copytree(src / "bfredholm", Path(tmp) / f"bf_{label}", ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([tmp, str(root / "perfbench")]))
+        for seed in AB_SEEDS:
+            done = subprocess.run([sys.executable, "-c", AB_TIMER, json.dumps(list(sides)), str(seed), str(AB_ROUNDS)],
+                                  env=env, capture_output=True, text=True, check=True)
+            times, first = json.loads(done.stdout), next(iter(sides))
+            out[f"index-mix seed {seed}"] = {
+                name: {
+                    label: {**_summary(ms, 4), "ratio": _summary([b / a for a, b in zip(per[first], ms)], 3)}
+                    for label, ms in per.items()
+                }
+                for name, per in times.items()
+            }
+    return out
+
+
 def measure(sides: dict[str, Path], repeat: int) -> dict:
     windows = {label: {} for label in sides}
     split = {label: {} for label in sides}
@@ -326,9 +422,11 @@ def measure(sides: dict[str, Path], repeat: int) -> dict:
             for n, ms in out.items():
                 windows[label].setdefault(f"n={n}", []).append((ms, ref))
             _, stdout = _run(src, ["-c", SPLIT_TIMER, json.dumps(SPLIT_OPERATORS), json.dumps(MATRIX_OPERATORS),
-                                   PRODUCT, str(PASSES)])
+                                   PRODUCT, str(PASSES), json.dumps(BUDGET_TRACE)])
             out = json.loads(stdout)
             ref = out["reference_ms"]
+            for text, ms in out["budget_trace_ms"].items():
+                split[label].setdefault("budget_trace_ms", {}).setdefault(text, []).append(ms)
             split[label].setdefault("reference_ms", []).append(ref)
             split[label].setdefault("analyze_split_ms", []).append((out["analyze_split_ms"], ref))
             for name, value in out["layers"].items():
@@ -350,6 +448,7 @@ def measure(sides: dict[str, Path], repeat: int) -> dict:
             "reference_ms": _summary(split[label].pop("reference_ms"), 3),
             "op_entry_window_ms": {n: _in_process(ms) for n, ms in windows[label].items()},
             "analyze_split_ms": _in_process(split[label].pop("analyze_split_ms")),
+            "budget_trace_ms": {text: _summary(ms, 3) for text, ms in split[label].pop("budget_trace_ms").items()},
             "layers": {name: _in_process(values) for name, values in split[label].items()},
             **{name: result[label] for name, result in timed.items()},
         }
@@ -359,8 +458,8 @@ def measure(sides: dict[str, Path], repeat: int) -> dict:
 
 def _side(text: str) -> tuple[str, Path]:
     label, sep, src = text.partition("=")
-    if not sep or not label:
-        raise argparse.ArgumentTypeError(f"expected LABEL=SRC, got {text!r}")
+    if not sep or not label.isidentifier():
+        raise argparse.ArgumentTypeError(f"expected LABEL=SRC with LABEL a Python name, got {text!r}")
     return label, Path(src).resolve()
 
 
@@ -381,10 +480,13 @@ def main(argv: list[str] | None = None) -> int:
         "split_operators": SPLIT_OPERATORS,
         "matrix_operators": MATRIX_OPERATORS,
         "power_20": POWER_20,
+        "budget_trace": BUDGET_TRACE,
         "repeat": args.repeat,
         "passes": PASSES,
         "sides": measure(sides, args.repeat),
     }
+    if len(sides) > 1:
+        result["ab"] = in_process_ab(sides)
     text = json.dumps(result, indent=2) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -26,7 +26,7 @@ from .finiterank import (
     outer,
     trace,
 )
-from .matrices import ExactMatrix, drazin, is_nilpotent, matrix, rank, spectral_trace_check
+from .matrices import ExactMatrix, drazin, matrix, rank, spectral_trace_check
 from .symbols import (
     CircleSplit,
     RationalSymbol,
@@ -47,7 +47,6 @@ from .operators import (
     op_arith,
     op_entry,
     op_equal,
-    quotient_equal,
     scalar_shift,
     toeplitz_operator,
 )
@@ -77,12 +76,12 @@ __all__ = [
     "RationalSequence", "make_sequence", "pairing", "seq_basis", "seq_finite", "seq_geo",
     "FiniteRankOperator", "fr_entry", "fr_equal", "fr_is_zero",
     "make_finite_rank", "outer", "trace",
-    "ExactMatrix", "drazin", "is_nilpotent", "matrix", "rank", "spectral_trace_check",
+    "ExactMatrix", "drazin", "matrix", "rank", "spectral_trace_check",
     "CircleSplit", "RationalSymbol", "fourier_coeff", "invert_symbol",
     "make_factored", "make_symbol", "sym_arith", "winding_number",
     "BlockOperator", "MatrixBlock", "ToeplitzBlock", "direct_sum",
     "hankel_defect", "matrix_operator", "op_arith", "op_entry", "op_equal",
-    "quotient_equal", "scalar_shift", "toeplitz_operator",
+    "scalar_shift", "toeplitz_operator",
     "DrazinWitness", "IndexReport", "analyze", "classify", "drazin_witness",
     "index_trace", "index_winding", "punctured_scan", "verify_fedosov",
     "verify_ideal_perturbation", "verify_log_law", "verify_power_law",

@@ -846,7 +846,8 @@ _OP_NAMES = {"+": "add", "-": "sub", "*": "mul"}
 
 
 def evaluate(node: OpNode) -> BlockOperator:
-    check_signature(node)
+    """The operator of node.  parse has checked its signatures; on a tree
+    built by hand, op_arith raises SignatureMismatch at a mismatched node."""
     return _eval(node)
 
 

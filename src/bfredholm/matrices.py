@@ -244,15 +244,3 @@ def spectral_trace_check(A: ExactMatrix) -> bool:
         return True
     p = charpoly(A)
     return A.trace() == -p.coeff(A.rows - 1)
-
-
-def is_nilpotent(A: ExactMatrix) -> int | None:
-    """Smallest p with A^p = 0, or None if A is not nilpotent."""
-    A._square()
-    n = A.rows
-    power = identity(n)
-    for p in range(1, n + 1):
-        power = power * A
-        if power.is_zero():
-            return p
-    return None

@@ -26,7 +26,6 @@ from .symbols import (
     laurent_expansion,
     make_factored,
     sym_arith,
-    sym_equal,
     sym_scale,
     symbol_poles,
 )
@@ -207,38 +206,18 @@ def _toeplitz_mul(x: ToeplitzBlock, y: ToeplitzBlock) -> ToeplitzBlock:
 
 def op_arith(a: BlockOperator, b: BlockOperator, op: str) -> BlockOperator:
     _check_signature(a, b)
+    if op not in ("add", "sub", "mul"):
+        raise ValueError(f"unknown op {op!r}")
     blocks: list[Block] = []
     for x, y in zip(a.blocks, b.blocks):
-        if isinstance(x, ToeplitzBlock):
-            assert isinstance(y, ToeplitzBlock)
-            if op == "add":
-                blocks.append(
-                    ToeplitzBlock(
-                        sym_arith(x.symbol, y.symbol, "add"),
-                        x.correction + y.correction,
-                    )
-                )
-            elif op == "sub":
-                blocks.append(
-                    ToeplitzBlock(
-                        sym_arith(x.symbol, y.symbol, "sub"),
-                        x.correction - y.correction,
-                    )
-                )
-            elif op == "mul":
-                blocks.append(_toeplitz_mul(x, y))
-            else:
-                raise ValueError(f"unknown op {op!r}")
+        if isinstance(x, MatrixBlock):
+            m = x.m + y.m if op == "add" else x.m - y.m if op == "sub" else x.m * y.m
+            blocks.append(MatrixBlock(m))
+        elif op == "mul":
+            blocks.append(_toeplitz_mul(x, y))
         else:
-            assert isinstance(y, MatrixBlock)
-            if op == "add":
-                blocks.append(MatrixBlock(x.m + y.m))
-            elif op == "sub":
-                blocks.append(MatrixBlock(x.m - y.m))
-            elif op == "mul":
-                blocks.append(MatrixBlock(x.m * y.m))
-            else:
-                raise ValueError(f"unknown op {op!r}")
+            corr = x.correction + y.correction if op == "add" else x.correction - y.correction
+            blocks.append(ToeplitzBlock(sym_arith(x.symbol, y.symbol, op), corr))
     return BlockOperator(tuple(blocks))
 
 
@@ -329,22 +308,13 @@ def op_equal(a: BlockOperator, b: BlockOperator) -> bool:
     _check_signature(a, b)
     for x, y in zip(a.blocks, b.blocks):
         if isinstance(x, ToeplitzBlock):
-            if not sym_equal(x.symbol, y.symbol):
+            if x.symbol != y.symbol:
                 return False
             if not fr_is_zero(x.correction - y.correction):
                 return False
         else:
             if x.m != y.m:
                 return False
-    return True
-
-
-def quotient_equal(a: BlockOperator, b: BlockOperator) -> bool:
-    """True iff a - b lies in the blockwise finite-rank ideal."""
-    _check_signature(a, b)
-    for x, y in zip(a.blocks, b.blocks):
-        if isinstance(x, ToeplitzBlock) and not sym_equal(x.symbol, y.symbol):
-            return False
     return True
 
 

@@ -12,6 +12,9 @@ Fourier coefficients and inverse symbols exactly computable; winding
 numbers never need it.  Which side of the circle a root lies on is read
 where it is used: by the expansion, which a symbol computes on the first
 read and keeps, and by widom_pairings, which sums residues at the roots.
+Both take Taylor coefficients at a point from one routine, _taylor_at:
+the partial fractions of the expansion, the principal parts the pairings
+read, and the Taylor values of f and of its other principal parts.
 
 A split symbol made by make_factored (products, scalings, inverses and
 powers of split symbols) holds its leading coefficient and its split,
@@ -70,7 +73,8 @@ class RationalSymbol:
     make_factored holds only its lead and split, and builds num and den
     from the roots when they are first read; it keeps them, as it keeps
     its expansion.  No other field changes after construction.  Equality
-    and hash are those of (num, den, shift).
+    and hash are those of (num, den, shift); every constructor gives a
+    zero symbol shift 0, so == is equality of rational functions.
     """
 
     __slots__ = ("_num", "_den", "shift", "split", "lead", "expansion")
@@ -333,11 +337,6 @@ def sym_pow(f: RationalSymbol, k: int) -> RationalSymbol:
     return RationalSymbol(reduce(_times, [f.num] * k), reduce(_times, [f.den] * k), k * f.shift)
 
 
-def sym_equal(f: RationalSymbol, g: RationalSymbol) -> bool:
-    """Equality as rational functions (ignores split witnesses)."""
-    return f.num == g.num and f.den == g.den and (f.is_zero() or f.shift == g.shift)
-
-
 def winding_number(f: RationalSymbol) -> int:
     """Exact winding of f around 0 along the unit circle.
 
@@ -401,8 +400,12 @@ def expand_rational(num: Polynomial, poles, shift: int) -> LaurentExpansion:
         quot, rem = poly_divmod(num, from_roots(ONE, list(merged.items())))
     pos_tails = []
     neg_tails = []
+    # c_k of (z-p)^(-k), k = m..1: the Taylor coefficients at p of
+    # rem / prod_{q != p} (z-q)^mq, up to u^(m-1) with u = z - p
+    neg_exps = {q: -mq for q, mq in merged.items()}
     for p, m in merged.items():
-        residues = _residues_at(rem, merged, p, m)
+        t = _taylor_at(rem.taylor_shift(p).coeffs, neg_exps, p, m)
+        residues = [(m - j, t[j]) for j in range(m) if not t[j].is_zero()]
         if not residues:
             continue
         a, b, d = p
@@ -439,43 +442,6 @@ def expand_rational(num: Polynomial, poles, shift: int) -> LaurentExpansion:
     return LaurentExpansion(pos.drop(s), neg.shift_up(s) + seq_finite(head))
 
 
-def _residues_at(rem: Polynomial, poles: dict, p: GaussianRational, m: int):
-    """Partial-fraction coefficients c_k of (z-p)^(-k), k = 1..m.
-
-    With u = z - p, expands rem / prod_{q != p} (u + p - q)^mq to order
-    u^(m-1); the series coefficients t_0..t_{m-1} give c_{m-j} = t_j.
-    """
-    # Taylor coefficients of rem at p: m synthetic divisions by (z - p)
-    cs = list(rem.coeffs)
-    r_t = []
-    for _ in range(m):
-        acc = ZERO
-        for k in range(len(cs) - 1, -1, -1):
-            acc = cs[k] + acc * p
-            cs[k] = acc
-        r_t.append(cs[0] if cs else ZERO)
-        cs = cs[1:]
-    # the other poles as factors (u + p - q), truncated after u^(m-1)
-    d_t = [ONE] + [ZERO] * (m - 1)
-    for q, mq in poles.items():
-        if q == p:
-            continue
-        a = p - q
-        for _ in range(mq):
-            for j in range(m - 1, 0, -1):
-                d_t[j] = d_t[j] * a + d_t[j - 1]
-            d_t[0] = d_t[0] * a
-    # power series division r_t / d_t modulo u^m
-    inv0 = d_t[0].inv()
-    series = []
-    for j in range(m):
-        acc = r_t[j]
-        for i in range(j):
-            acc = acc - series[i] * d_t[j - i]
-        series.append(acc * inv0)
-    return [(m - j, series[j]) for j in range(m) if not series[j].is_zero()]
-
-
 def fourier_coeff(f: RationalSymbol, n: int) -> GaussianRational:
     """The n-th Laurent coefficient of f on the annulus of the circle."""
     return laurent_expansion(f).value(n)
@@ -508,7 +474,7 @@ def widom_pairings(f: RationalSymbol, g: RationalSymbol) -> tuple[GaussianRation
     if flat_f and flat_g:
         return ZERO, ZERO
     # [c_1..c_m] of sum_k c_k (z - p)^-k at each inside pole p, for both pairings
-    pf, pg = ({p: _taylor_at(h.lead, e, p, -m)[::-1] for p, m in e.items() if m < 0 and _inside(p)}
+    pf, pg = ({p: _taylor_at((h.lead,), e, p, -m)[::-1] for p, m in e.items() if m < 0 and _inside(p)}
               for h, e in ((f, ef), (g, eg)))
     return (ZERO if flat_g else _widom(g.lead, eg, pg, pf),
             ZERO if flat_f else _widom(f.lead, ef, pf, pg))
@@ -519,10 +485,11 @@ def _inside(r: GaussianRational) -> bool:
     return a * a + b * b < d * d
 
 
-def _taylor_at(lead: GaussianRational, exps: dict, q: GaussianRational, n: int) -> list:
-    """The first n Taylor coefficients at q of lead * prod_{r != q} (z - r)^e_r:
-    a series in u = z - q, times or divided by (u + q - r) once per factor."""
-    s = [lead] + [ZERO] * (n - 1)
+def _taylor_at(s: tuple, exps: dict, q: GaussianRational, n: int) -> list:
+    """The first n Taylor coefficients at q of S * prod_{r != q} (z - r)^e_r,
+    given those of S in s (zero past its end): a series in u = z - q, times
+    or divided by (u + q - r) once per factor."""
+    s = list(s[:n]) + [ZERO] * (n - len(s))
     for r, e in exps.items():
         if r != q:
             c = q - r if e > 0 else (q - r).inv()
@@ -543,20 +510,14 @@ def _widom(lead: GaussianRational, ef: dict, pf: dict, pg: dict) -> GaussianRati
     total = ZERO
     for q, d in pg.items():
         # F_j: the Taylor coefficient of f, or of its regular part, at q, less
-        # those of f's other principal parts: c_k (u + a)^-k has u^j
-        # coefficient c_k (-1)^j C(k+j-1, j) a^-(k+j)
+        # those of f's other principal parts: sum_k c_k (z - p)^-k is
+        # N / (z - p)^len(c), with N = sum_k c_k (z - p)^(len(c) - k)
         m, e = len(d), ef.get(q, 0)
-        s = _taylor_at(lead, ef, q, m + 1 - e) if m >= e else []
+        s = _taylor_at((lead,), ef, q, m + 1 - e) if m >= e else []
         F = [s[j - e] if j >= e else ZERO for j in range(1, m + 1)]
         for p, c in pf.items():
             if p != q:
-                pw = [(q - p).inv()]
-                for _ in range(len(c) + m - 1):
-                    pw.append(pw[-1] * pw[0])
-                binom = [1] * len(c)  # C(k+j-1, j) for k = 1.., from j = 0
-                for j in range(1, m + 1):
-                    binom = [b * (k + j) // j for k, b in enumerate(binom)]
-                    acc = sum((ck * pw[k + j] * gr(b) for k, (ck, b) in enumerate(zip(c, binom))), ZERO)
-                    F[j - 1] = F[j - 1] + acc if j % 2 else F[j - 1] - acc
+                t = _taylor_at(Polynomial(tuple(c[::-1])).taylor_shift(q - p).coeffs, {p: -len(c)}, q, m + 1)
+                F = [x - y for x, y in zip(F, t[1:])]
         total = sum((dk * F[k] * gr(k + 1) for k, dk in enumerate(d)), total)
     return total

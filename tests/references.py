@@ -36,7 +36,12 @@ function as the partial fractions the library once ran: always dividing
 num by the full pole product, and every tail, simple poles included,
 written through the binomial polynomials.  The library multiplies out
 the roots over the Gaussian integers, skips the division when num is
-already proper, and writes a simple-pole tail directly.
+already proper, and writes a simple-pole tail directly.  The residues
+at a pole p are the Taylor coefficients at p of rem over the other poles'
+factors, taken here as one truncated series division of rem(p + u) by
+that product written out as a polynomial in u; the library multiplies or
+divides by one linear factor at a time (symbols._taylor_at), and this
+shares no code with it.
 
 A symbol power is kept as the loop of k products by f, each through
 sym_arith.  The library raises the multiplicities of a split symbol, or
@@ -48,7 +53,9 @@ inverted in that basis and conjugated back.  The library reads A^k X A^k
 off one row reduction of [A^(2k+1) | I] instead.
 
 The ordinary inverse of a matrix, which the library no longer needs, is
-kept as the row reduction of [A | I].
+kept as the row reduction of [A | I].  So are two predicates that only
+the tests read: the nilpotency order of a matrix, by powers of A, and
+equality of two operators modulo the finite-rank ideal, by symbols.
 """
 
 from __future__ import annotations
@@ -63,6 +70,8 @@ from bfredholm.errors import ExactError
 from bfredholm.matrices import ExactMatrix, _rref, identity, matrix, rank, zeros
 from bfredholm.operators import (
     BlockOperator,
+    ToeplitzBlock,
+    _check_signature,
     hankel_defect,
     scalar_shift,
     toeplitz_apply,
@@ -82,8 +91,6 @@ from bfredholm.symbols import (
     ZERO_SYMBOL,
     LaurentExpansion,
     RationalSymbol,
-    _merge_roots,
-    _residues_at,
     invert_symbol,
     laurent_expansion,
     make_factored,
@@ -149,18 +156,35 @@ def from_roots_reference(scale: GaussianRational, roots) -> Polynomial:
     return out
 
 
+def residues_reference(rem: Polynomial, poles: dict, p: GaussianRational, m: int):
+    """[(k, c_k)] of the principal part sum_k c_k (z-p)^(-k) of rem / prod (z-q)^mq
+    at p, k = m..1, nonzero c_k only: with u = z - p, the series rem(p + u) /
+    prod_{q != p} (u - (q - p))^mq truncated after u^(m-1) gives c_(m-j) at u^j."""
+    r = list(rem.taylor_shift(p).coeffs) + [ZERO] * m
+    d = list(from_roots_reference(ONE, [(q - p, mq) for q, mq in poles.items() if q != p]).coeffs) + [ZERO] * m
+    t = []
+    for j in range(m):
+        acc = r[j]
+        for i in range(j):
+            acc = acc - t[i] * d[j - i]
+        t.append(acc / d[0])
+    return [(m - j, t[j]) for j in range(m) if not t[j].is_zero()]
+
+
 def expand_rational_reference(num: Polynomial, poles, shift: int) -> LaurentExpansion:
     """Laurent expansion of z^shift * num / prod (z-p)^m on the annulus of the circle."""
     if num.is_zero():
         return LaurentExpansion(SEQ_ZERO, SEQ_ZERO)
     if shift > 0:
         num, shift = num.shift_degree(shift), 0
-    merged = _merge_roots(poles)
+    merged: dict = {}
+    for p, m in poles:
+        merged[p] = merged.get(p, 0) + m
     quot, rem = poly_divmod(num, from_roots_reference(ONE, list(merged.items())))
     pos_tails = []
     neg_tails = []
     for p, m in merged.items():
-        residues = _residues_at(rem, merged, p, m)
+        residues = residues_reference(rem, merged, p, m)
         acc = P_ZERO
         if p.abs2() > 1:
             for k, c in residues:
@@ -344,6 +368,27 @@ def inverse(A: ExactMatrix) -> ExactMatrix:
     if pivots != list(range(n)):
         raise ExactError("matrix is singular")
     return ExactMatrix(n, n, tuple(rows[i][n + j] for i in range(n) for j in range(n)))
+
+
+def is_nilpotent(A: ExactMatrix) -> int | None:
+    """Smallest p with A^p = 0, or None if A is not nilpotent."""
+    A._square()
+    n = A.rows
+    power = identity(n)
+    for p in range(1, n + 1):
+        power = power * A
+        if power.is_zero():
+            return p
+    return None
+
+
+def quotient_equal(a: BlockOperator, b: BlockOperator) -> bool:
+    """True iff a - b lies in the blockwise finite-rank ideal."""
+    _check_signature(a, b)
+    for x, y in zip(a.blocks, b.blocks):
+        if isinstance(x, ToeplitzBlock) and x.symbol != y.symbol:
+            return False
+    return True
 
 
 def drazin_reference(A: ExactMatrix) -> tuple[ExactMatrix, int]:

@@ -13,6 +13,7 @@ from bfredholm.dsl import (
     FRAtom,
     GeoSeq,
     IdentityAtom,
+    OpBin,
     OpNeg,
     SBin,
     SConst,
@@ -172,6 +173,16 @@ def test_signature_mismatch():
 def test_signature_mismatch_direct_sum_arith():
     with pytest.raises(SignatureMismatch):
         parse("T(z) (++) M[[1]] + T(z)")
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_evaluate_raises_on_a_hand_built_mismatch(op):
+    # parse checks signatures and evaluate does not walk the tree again, so
+    # a mismatched node built by hand is caught where its operands meet
+    with pytest.raises(SignatureMismatch):
+        evaluate(OpBin(op, parse("T(z)"), parse("M[[1]]")))
+    with pytest.raises(SignatureMismatch):
+        evaluate(OpNeg(OpBin(op, parse("T(z) (++) M[[1]]"), parse("T(z - 1/2)"))))
 
 
 def test_evaluation_shapes():

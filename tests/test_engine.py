@@ -60,7 +60,6 @@ from bfredholm.symbols import (
     make_factored,
     make_symbol,
     sym_arith,
-    sym_equal,
 )
 
 HALF = gr(Fraction(1, 2))
@@ -184,7 +183,7 @@ def test_quotient_defects_match_full_operator_reference(seed):
         for full, quotient in zip((d1, d2, d3), w.defects, strict=True):
             toeplitz = [x.symbol for x in full.blocks if isinstance(x, ToeplitzBlock)]
             assert len(toeplitz) == len(quotient)
-            assert all(sym_equal(x, y) for x, y in zip(toeplitz, quotient))
+            assert all(x == y for x, y in zip(toeplitz, quotient))
             if mode == "drazin":  # the matrix witness is a true Drazin inverse
                 assert all(x.m.is_zero() for x in full.blocks if isinstance(x, MatrixBlock))
         assert w.defects_in_ideal()

@@ -8,7 +8,6 @@ from bfredholm.matrices import (
     drazin,
     drazin_index,
     identity,
-    is_nilpotent,
     jordan_nilpotent,
     matrix,
     rank,
@@ -17,7 +16,7 @@ from bfredholm.matrices import (
 )
 from bfredholm.scalars import gr
 
-from references import drazin_reference, inverse
+from references import drazin_reference, inverse, is_nilpotent
 
 
 def _rand_matrix(rng, n):

@@ -14,6 +14,7 @@ from bfredholm.finiterank import FR_ZERO, fr_entry, fr_equal, fr_is_zero, make_f
 from bfredholm import operators, scalars
 from bfredholm.matrices import jordan_nilpotent, matrix
 from bfredholm.operators import (
+    BlockOperator,
     MatrixBlock,
     direct_sum,
     embed_finite_rank,
@@ -25,7 +26,6 @@ from bfredholm.operators import (
     op_equal,
     op_power,
     op_scale,
-    quotient_equal,
     _toeplitz_mul,
     ToeplitzBlock,
     scalar_shift,
@@ -44,7 +44,6 @@ from bfredholm.symbols import (
     laurent_expansion,
     make_symbol,
     sym_arith,
-    sym_equal,
     sym_pow,
     winding_number,
 )
@@ -53,6 +52,7 @@ from references import (
     hankel_trace,
     product_correction_reference,
     product_needs_split_reference,
+    quotient_equal,
     random_finite_rank,
     random_symbol,
 )
@@ -382,6 +382,16 @@ def test_quotient_equal_ignores_ideal():
     assert quotient_equal(A, B)
 
 
+@pytest.mark.parametrize("op", ["div", "pow", "", "Add"])
+def test_op_arith_rejects_an_unknown_op(op):
+    a = evaluate(parse("T((z-1/2)/(z-3)) + FR{e0 | e1} (++) M[[1,2],[3,4]]"))
+    with pytest.raises(ValueError, match="unknown op"):
+        op_arith(a, a, op)
+    # also when no block would reach the op
+    with pytest.raises(ValueError, match="unknown op"):
+        op_arith(BlockOperator(()), BlockOperator(()), op)
+
+
 @pytest.mark.parametrize("i, j", [(0, -1), (-1, 0), (-1, -1), (-2, 3)])
 def test_negative_entry_index_raises_on_every_block_kind(i, j):
     # Python indexing would read head[-1] and fhat at the wrong index
@@ -408,7 +418,7 @@ def test_product_correction_matches_the_four_pieces():
         F = random_finite_rank(rng, rng.randint(0, 3))
         G = random_finite_rank(rng, rng.randint(0, 3))
         P = op_arith(toeplitz_operator(f, F), toeplitz_operator(g, G), "mul").blocks[0]
-        assert sym_equal(P.symbol, sym_arith(f, g, "mul"))
+        assert P.symbol == sym_arith(f, g, "mul")
         corr = P.correction
         assert len(corr.terms) <= len(F.terms) + len(G.terms) + len(hankel_defect(f, g).terms)
         assert fr_equal(corr, product_correction_reference(f, F, g, G)), (f, g)

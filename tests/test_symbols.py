@@ -20,7 +20,6 @@ from bfredholm.symbols import (
     make_factored,
     make_symbol,
     sym_arith,
-    sym_equal,
     sym_pow,
     sym_scale,
     widom_pairings,
@@ -92,10 +91,27 @@ def test_arith_matches_pointwise():
             assert abs(_eval(h, z) - fn(_eval(F1, z), _eval(F3, z))) < 1e-9
 
 
+def test_zero_symbols_have_shift_zero():
+    # so that == on (num, den, shift) is equality of rational functions
+    zero = poly([])
+    zeros = [
+        make_symbol(zero, poly([1]), 3),
+        make_symbol(zero, poly([1, 1]), -2),
+        make_factored(gr(0), 4, [(gr(2), 1)], [(gr(Fraction(1, 3)), 2)]),
+        sym_scale(sym_arith(Z, F3, "mul"), gr(0)),
+        sym_scale(make_symbol(poly([1, 0, 1]), poly([3, 1]), -1), gr(0)),
+        sym_pow(make_symbol(zero, poly([1]), 5), 3),
+        sym_arith(F3, F3, "sub"),
+    ]
+    for f in zeros:
+        assert f.is_zero() and f.shift == 0
+        assert f == ZERO_SYMBOL
+
+
 def test_invert_symbol():
     finv = invert_symbol(F3)
     prod = sym_arith(F3, finv, "mul")
-    assert sym_equal(prod, make_symbol(poly([1]), poly([1])))
+    assert prod == make_symbol(poly([1]), poly([1]))
     with pytest.raises(ZeroSymbol):
         invert_symbol(make_symbol(poly([]), poly([1])))
 
@@ -131,7 +147,7 @@ def test_expansion_matches_fourier():
 def test_sym_pow_negative():
     f = sym_pow(F1, -2)
     prod = sym_arith(f, sym_arith(F1, F1, "mul"), "mul")
-    assert sym_equal(prod, make_symbol(poly([1]), poly([1])))
+    assert prod == make_symbol(poly([1]), poly([1]))
 
 
 def test_split_rejects_a_root_on_the_circle():

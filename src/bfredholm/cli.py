@@ -13,7 +13,6 @@ own.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -41,12 +40,15 @@ from .errors import (
 )
 from .operators import op_entry
 from .scalars import format_scalar
-from .suites import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_INTERNAL = 3
+
+# The sorted names of suites.SUITES, which only the verify command imports.
+SUITE_NAMES = ("fedosov", "ideal", "loglaw", "powerlaw", "punctured",
+               "traceaxioms", "welldefined", "windingoracle", "windows")
 
 # Input budget of the entries command: each entry is an exact value whose
 # size grows with its index.
@@ -120,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument(
-        "--suite", required=True, choices=sorted(SUITES) + ["all"]
+        "--suite", required=True, choices=[*SUITE_NAMES, "all"]
     )
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--trials", type=_trials, default=20)
@@ -130,6 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", choices=["nonstability"])
     common(sp)
     return p
+
+
+def _json(obj, **kw) -> str:
+    import json  # only the --format json paths load json
+    return json.dumps(obj, **kw)
 
 
 def _report_dict(rep: IndexReport) -> dict:
@@ -145,7 +152,7 @@ def _report_dict(rep: IndexReport) -> dict:
 
 def _emit_report(rep: IndexReport, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_report_dict(rep), indent=2)
+        return _json(_report_dict(rep), indent=2)
     lines = [f"classification: {rep.classification}"]
     if rep.index_trace is not None:
         lines.append(f"index (trace route):   {rep.index_trace}")
@@ -174,7 +181,7 @@ def cmd_index(args) -> tuple[int, str]:
     idx = rep.index_winding
     route = "trace+winding" if rep.index_trace is not None else "winding"
     if args.format == "json":
-        return EXIT_OK, json.dumps({"index": idx, "route": route})
+        return EXIT_OK, _json({"index": idx, "route": route})
     return EXIT_OK, f"{idx}  (route: {route})"
 
 
@@ -191,14 +198,14 @@ def cmd_entries(args) -> tuple[int, str]:
         for i in range(args.rows)
     ]
     if args.format == "json":
-        return EXIT_OK, json.dumps({"rows": rows}, indent=2)
+        return EXIT_OK, _json({"rows": rows}, indent=2)
     return EXIT_OK, "\n".join(",".join(r) for r in rows)
 
 
 def cmd_scan(args) -> tuple[int, str]:
     rep = punctured_scan(evaluate(parse(args.expr)), args.radii, args.directions)
     if args.format == "json":
-        return EXIT_OK, json.dumps(
+        return EXIT_OK, _json(
             {
                 "base_classification": rep.base_classification,
                 "base_index": rep.base_index,
@@ -222,6 +229,7 @@ def cmd_scan(args) -> tuple[int, str]:
 
 
 def cmd_verify(args) -> tuple[int, str]:
+    from .suites import run_suite  # the suites load only when verify runs
     cases = run_suite(args.suite, seed=args.seed, trials=args.trials)
     lines = []
     failed = 0
@@ -232,7 +240,7 @@ def cmd_verify(args) -> tuple[int, str]:
         lines.append(f"{status}  {name}: {detail}")
     lines.append(f"{len(cases) - failed}/{len(cases)} cases passed")
     if args.format == "json":
-        body = json.dumps(
+        body = _json(
             {
                 "suite": args.suite,
                 "passed": len(cases) - failed,
@@ -250,7 +258,7 @@ def cmd_verify(args) -> tuple[int, str]:
 def cmd_demo(args) -> tuple[int, str]:
     rows = nonstability_demo()
     if args.format == "json":
-        return EXIT_OK, json.dumps(
+        return EXIT_OK, _json(
             {
                 "samples": [
                     {

@@ -25,10 +25,9 @@ exactly.  geo(r; d) denotes the sequence n^d * r^n.
 The lexer is one findall of one pattern, after one search for a
 rejected character; its tokens are a list of strings, padded with empty
 end-of-input tokens so that the parser's lookahead is one list index.
-AST nodes are immutable slotted classes, equal only to a node of their
-own type with equal fields.  The evaluator builds z and each linear
-factor z + c or z - c as a factored symbol, so products and quotients of
-them stay factored.
+AST nodes are records (bfredholm.record).  The evaluator builds z and
+each linear factor z + c or z - c as a factored symbol, so products and
+quotients of them stay factored.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .operators import (
     op_scale,
     toeplitz_operator,
 )
+from .record import Record, _set
 from .scalars import GaussianRational, ONE, _reduced, format_scalar, gr
 from .sequences import RationalSequence, seq_basis, seq_finite, seq_geo
 from .symbols import (
@@ -115,55 +115,18 @@ def tokenize(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-_set = object.__setattr__
-
-
-class _Node:
-    """An AST node.  Its fields are its __slots__, set once by __init__.
-
-    A node equals only a node of the same type with equal fields, and
-    equal nodes hash alike; assigning to a node raises AttributeError.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash((self.__class__, self._fields()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{self.__class__.__name__}({fields})"
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{self.__class__.__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{self.__class__.__name__} is immutable")
-
-
-class SVar(_Node):
+class SVar(Record):
     __slots__ = ()
 
 
-class SConst(_Node):
+class SConst(Record):
     __slots__ = ("value",)
 
     def __init__(self, value: GaussianRational):
         _set(self, "value", value)
 
 
-class SBin(_Node):
+class SBin(Record):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: SymNode, right: SymNode):  # op: '+', '-', '*', '/'
@@ -172,7 +135,7 @@ class SBin(_Node):
         _set(self, "right", right)
 
 
-class SPow(_Node):
+class SPow(Record):
     __slots__ = ("base", "exp")
 
     def __init__(self, base: SymNode, exp: int):
@@ -180,7 +143,7 @@ class SPow(_Node):
         _set(self, "exp", exp)
 
 
-class SNeg(_Node):
+class SNeg(Record):
     __slots__ = ("arg",)
 
     def __init__(self, arg: SymNode):
@@ -190,14 +153,14 @@ class SNeg(_Node):
 SymNode = SVar | SConst | SBin | SPow | SNeg
 
 
-class FinSeq(_Node):
+class FinSeq(Record):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[GaussianRational, ...]):
         _set(self, "values", values)
 
 
-class GeoSeq(_Node):
+class GeoSeq(Record):
     __slots__ = ("ratio", "degree")
 
     def __init__(self, ratio: GaussianRational, degree: int = 0):
@@ -205,7 +168,7 @@ class GeoSeq(_Node):
         _set(self, "degree", degree)
 
 
-class BasisSeq(_Node):
+class BasisSeq(Record):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
@@ -215,32 +178,32 @@ class BasisSeq(_Node):
 SeqNode = FinSeq | GeoSeq | BasisSeq
 
 
-class TAtom(_Node):
+class TAtom(Record):
     __slots__ = ("sym",)
 
     def __init__(self, sym: SymNode):
         _set(self, "sym", sym)
 
 
-class IdentityAtom(_Node):
+class IdentityAtom(Record):
     __slots__ = ()
 
 
-class FRAtom(_Node):
+class FRAtom(Record):
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[SeqNode, SeqNode], ...]):
         _set(self, "pairs", pairs)
 
 
-class MatrixAtom(_Node):
+class MatrixAtom(Record):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[GaussianRational, ...], ...]):
         _set(self, "rows", rows)
 
 
-class OpBin(_Node):
+class OpBin(Record):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: OpNode, right: OpNode):  # op: '+', '-', '*'
@@ -249,14 +212,14 @@ class OpBin(_Node):
         _set(self, "right", right)
 
 
-class OpNeg(_Node):
+class OpNeg(Record):
     __slots__ = ("arg",)
 
     def __init__(self, arg: OpNode):
         _set(self, "arg", arg)
 
 
-class OpScalarMul(_Node):
+class OpScalarMul(Record):
     __slots__ = ("scalar", "arg")
 
     def __init__(self, scalar: GaussianRational, arg: OpNode):
@@ -264,7 +227,7 @@ class OpScalarMul(_Node):
         _set(self, "arg", arg)
 
 
-class DirectSum(_Node):
+class DirectSum(Record):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[OpNode, ...]):

@@ -19,8 +19,6 @@ _commutator_trace) as the product layer's cross-check.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -49,6 +47,7 @@ from .operators import (
     toeplitz_operator,
 )
 from .poly import poly
+from .record import Record, _set
 from .rootloc import count_zeros_in_disk, pencil_disk_counts
 from .scalars import GaussianRational, ZERO, gr
 from .sequences import seq_finite
@@ -101,8 +100,7 @@ def _class_of(windings: list[int], has_zero_symbol: bool) -> tuple[str, int]:
     return (FREDHOLM if any(windings) else INVERTIBLE_MOD_J), -sum(windings)
 
 
-@dataclass(frozen=True, slots=True)
-class DrazinWitness:
+class DrazinWitness(Record):
     """Candidate Drazin inverse a0 of pi(a), with the certifying defects
     a*a0 - a0*a, a0*a*a0 - a0, a^(p+1)*a0 - a^p.
 
@@ -115,9 +113,13 @@ class DrazinWitness:
     Toeplitz block, with no commutator formed.
     """
 
-    inverse: BlockOperator
-    quotient_index: int
-    defects: tuple[tuple[RationalSymbol, ...], ...]
+    __slots__ = ("inverse", "quotient_index", "defects")
+
+    def __init__(self, inverse: BlockOperator, quotient_index: int,
+                 defects: tuple[tuple[RationalSymbol, ...], ...]):
+        _set(self, "inverse", inverse)
+        _set(self, "quotient_index", quotient_index)
+        _set(self, "defects", defects)
 
     def defects_in_ideal(self) -> bool:
         return all(f.is_zero() for d in self.defects for f in d)
@@ -228,14 +230,18 @@ def index_winding(a: BlockOperator) -> int:
     return index
 
 
-@dataclass(frozen=True, slots=True)
-class IndexReport:
-    classification: str
-    index_trace: int | None
-    index_winding: int | None
-    quotient_index: int | None
-    pathway_notes: tuple[str, ...]
-    defects_in_ideal: bool | None = None
+class IndexReport(Record):
+    __slots__ = ("classification", "index_trace", "index_winding", "quotient_index",
+                 "pathway_notes", "defects_in_ideal")
+
+    def __init__(self, classification: str, index_trace: int | None, index_winding: int | None,
+                 quotient_index: int | None, pathway_notes: tuple[str, ...], defects_in_ideal: bool | None = None):
+        _set(self, "classification", classification)
+        _set(self, "index_trace", index_trace)
+        _set(self, "index_winding", index_winding)
+        _set(self, "quotient_index", quotient_index)
+        _set(self, "pathway_notes", pathway_notes)
+        _set(self, "defects_in_ideal", defects_in_ideal)
 
 
 def _run_routes(a: BlockOperator) -> tuple[IndexReport, MissingSplit | None]:
@@ -294,13 +300,13 @@ def _routes(*reps: IndexReport) -> list[str]:
 
 def verify_fedosov(a: BlockOperator) -> IndexReport:
     """Both routes must agree exactly (trace-formula identity)."""
-    return replace(_both_routes(a), pathway_notes=("both routes computed and equal",))
+    r = _both_routes(a)
+    return IndexReport(r.classification, r.index_trace, r.index_winding, r.quotient_index,
+                       ("both routes computed and equal",), r.defects_in_ideal)
 
 
-def random_ideal_element(
-    rng: random.Random, rank: int = 2, support: int = 4
-) -> FiniteRankOperator:
-    """Seeded small finite-rank operator with finite-support factors."""
+def random_ideal_element(rng, rank: int = 2, support: int = 4) -> FiniteRankOperator:
+    """Seeded small finite-rank operator with finite-support factors, drawn from rng."""
 
     def small() -> GaussianRational:
         return gr(
@@ -316,10 +322,8 @@ def random_ideal_element(
     return make_finite_rank(terms)
 
 
-def _perturb_witness(
-    a0: BlockOperator, rng: random.Random
-) -> BlockOperator:
-    """a0 + j for a random ideal element j spread over all blocks."""
+def _perturb_witness(a0: BlockOperator, rng) -> BlockOperator:
+    """a0 + j for a random ideal element j, drawn from rng, spread over all blocks."""
     blocks: list[Block] = []
     for b in a0.blocks:
         if isinstance(b, ToeplitzBlock):
@@ -342,6 +346,7 @@ def verify_well_defined(
     a: BlockOperator, trials: int = 20, rng_seed: int = 0
 ) -> dict:
     """tau([a, a0 + j]) is independent of the ideal perturbation j."""
+    import random  # only this verifier draws perturbations
     w = drazin_witness(a)
     base = index_trace(a, w)
     rng = random.Random(rng_seed)
@@ -365,20 +370,26 @@ SCAN_DIRECTIONS: tuple[GaussianRational, ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ScanRow:
-    lam: GaussianRational
-    radius: Fraction
-    classification: str
-    index: int | None
+class ScanRow(Record):
+    __slots__ = ("lam", "radius", "classification", "index")
+
+    def __init__(self, lam: GaussianRational, radius: Fraction, classification: str, index: int | None):
+        _set(self, "lam", lam)
+        _set(self, "radius", radius)
+        _set(self, "classification", classification)
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True)
-class ScanReport:
-    base_classification: str
-    base_index: int | None
-    rows: tuple[ScanRow, ...]
-    stable_radius: Fraction | None  # largest radius with all smaller samples Fredholm at the base index
+class ScanReport(Record):
+    # stable_radius: the largest radius with all smaller samples Fredholm at the base index
+    __slots__ = ("base_classification", "base_index", "rows", "stable_radius")
+
+    def __init__(self, base_classification: str, base_index: int | None, rows: tuple[ScanRow, ...],
+                 stable_radius: Fraction | None):
+        _set(self, "base_classification", base_classification)
+        _set(self, "base_index", base_index)
+        _set(self, "rows", rows)
+        _set(self, "stable_radius", stable_radius)
 
 
 def _shifted_classes(a: BlockOperator, lams: list[GaussianRational]) -> list[tuple[str, int | None]]:

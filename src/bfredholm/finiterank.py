@@ -12,18 +12,19 @@ shares that sum and keeps the u_k(i) and v_k(j) it read for the next entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import IndexOutOfRange
+from .record import Record, _set
 from .scalars import GaussianRational, ZERO, _dot, gr
 from .sequences import RationalSequence, SEQ_ZERO, pairing
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteRankOperator:
+class FiniteRankOperator(Record):
     """F = sum_k u_k (x) v_k with F(x) = sum_k pairing(v_k, x) u_k."""
 
-    terms: tuple[tuple[RationalSequence, RationalSequence], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[RationalSequence, RationalSequence], ...]):
+        _set(self, "terms", terms)
 
     def apply(self, x: RationalSequence) -> RationalSequence:
         out = SEQ_ZERO

@@ -9,22 +9,21 @@ alone needs only the ranks of the powers of A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ExactError, NotSquare
 from .poly import Polynomial
+from .record import Record, _set
 from .scalars import GaussianRational, ONE, ZERO, gr
 
 
-@dataclass(frozen=True, slots=True)
-class ExactMatrix:
-    rows: int
-    cols: int
-    entries: tuple[GaussianRational, ...]  # row-major
+class ExactMatrix(Record):
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple[GaussianRational, ...]):  # row-major
+        if len(entries) != rows * cols:
             raise ExactError("entry count does not match the shape")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     def at(self, i: int, j: int) -> GaussianRational:
         return self.entries[i * self.cols + j]

@@ -10,12 +10,11 @@ Laurent expansions, so traces downstream remain exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import IndexOutOfRange, SignatureMismatch
 from .finiterank import FR_ZERO, FiniteRankOperator, _entry_sum, fr_is_zero, make_finite_rank
 from .matrices import ExactMatrix, identity as mat_identity
 from .poly import Polynomial, from_roots
+from .record import Record, _set
 from .scalars import GaussianRational, ONE, ZERO, gr
 from .sequences import RationalSequence, SEQ_ZERO, make_sequence
 from .symbols import (
@@ -132,28 +131,32 @@ def hankel_defect(f: RationalSymbol, g: RationalSymbol) -> FiniteRankOperator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ToeplitzBlock:
+class ToeplitzBlock(Record):
     """T(symbol) + correction on l2(N)."""
 
-    symbol: RationalSymbol
-    correction: FiniteRankOperator = FR_ZERO
+    __slots__ = ("symbol", "correction")
+
+    def __init__(self, symbol: RationalSymbol, correction: FiniteRankOperator = FR_ZERO):
+        _set(self, "symbol", symbol)
+        _set(self, "correction", correction)
 
 
-@dataclass(frozen=True, slots=True)
-class MatrixBlock:
-    m: ExactMatrix
+class MatrixBlock(Record):
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        self.m._square()
+    def __init__(self, m: ExactMatrix):
+        m._square()
+        _set(self, "m", m)
 
 
 Block = ToeplitzBlock | MatrixBlock
 
 
-@dataclass(frozen=True, slots=True)
-class BlockOperator:
-    blocks: tuple[Block, ...]
+class BlockOperator(Record):
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[Block, ...]):
+        _set(self, "blocks", blocks)
 
     def signature(self) -> tuple:
         out = []

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
 
 from .errors import ZeroPolynomial
 from .scalars import GaussianRational, ZERO, ONE, _reduced, gr
@@ -177,7 +176,7 @@ P_ZERO = Polynomial(())
 P_ONE = Polynomial((ONE,))
 
 
-def poly(values: Sequence) -> Polynomial:
+def poly(values: list | tuple) -> Polynomial:
     """Convenience constructor: ints, Fractions, or GaussianRationals."""
     out = []
     for v in values:
@@ -210,8 +209,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic() if not a.is_zero() else a
 
 
-def from_roots(scale: GaussianRational, roots: Sequence[tuple[GaussianRational, int]]) -> Polynomial:
-    """scale * prod (z - r)^m.
+def from_roots(scale: GaussianRational, roots: list | tuple) -> Polynomial:
+    """scale * prod (z - r)^m over the (r, m) pairs of roots.
 
     With scale = (a + b*i)/e, the product is held as Gaussian-integer
     coefficients over one denominator D = e; each factor

@@ -16,19 +16,20 @@ tail costs one power, one product and at most one sum; nothing is cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ExactError
 from .poly import Polynomial, poly
+from .record import Record, _set
 from .scalars import GaussianRational, ONE, ZERO, gr
 
 
-@dataclass(frozen=True, slots=True)
-class RationalSequence:
+class RationalSequence(Record):
     """Element of l2(N) with exact closed-form entries."""
 
-    head: tuple[GaussianRational, ...]
-    tails: tuple[tuple[GaussianRational, Polynomial], ...]
+    __slots__ = ("head", "tails")
+
+    def __init__(self, head: tuple[GaussianRational, ...], tails: tuple[tuple[GaussianRational, Polynomial], ...]):
+        _set(self, "head", head)
+        _set(self, "tails", tails)
 
     def value(self, n: int) -> GaussianRational:
         """x_n for n >= 0: the head entry plus one term per tail."""

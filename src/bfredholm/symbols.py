@@ -26,7 +26,6 @@ multiplicity, and otherwise it is formed from num and den.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import (
@@ -46,6 +45,7 @@ from .poly import (
     poly_gcd,
     rising_binom_poly,
 )
+from .record import Record, _set
 from .rootloc import count_zeros_in_disk, has_zero_on_circle
 from .scalars import GaussianRational, ONE, ZERO, gaussian_sqrt, gr
 from .sequences import (
@@ -58,12 +58,14 @@ from .sequences import (
 Roots = tuple[tuple[GaussianRational, int], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class CircleSplit:
+class CircleSplit(Record):
     """Factorization witness: the zeros and poles, none on the circle."""
 
-    zeros: Roots
-    poles: Roots
+    __slots__ = ("zeros", "poles")
+
+    def __init__(self, zeros: Roots, poles: Roots):
+        _set(self, "zeros", zeros)
+        _set(self, "poles", poles)
 
 
 class RationalSymbol:
@@ -356,12 +358,14 @@ def winding_number(f: RationalSymbol) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class LaurentExpansion:
+class LaurentExpansion(Record):
     """Two one-sided sequences: pos(n) = fhat(n), neg(u) = fhat(-1-u)."""
 
-    pos: RationalSequence
-    neg: RationalSequence
+    __slots__ = ("pos", "neg")
+
+    def __init__(self, pos: RationalSequence, neg: RationalSequence):
+        _set(self, "pos", pos)
+        _set(self, "neg", neg)
 
     def value(self, n: int) -> GaussianRational:
         return self.pos.value(n) if n >= 0 else self.neg.value(-1 - n)

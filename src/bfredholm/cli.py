@@ -159,7 +159,7 @@ def _emit_report(rep: IndexReport, fmt: str) -> str:
     if rep.index_winding is not None:
         lines.append(f"index (winding route): {rep.index_winding}")
     if rep.quotient_index is not None:
-        lines.append(f"quotient Drazin index: {rep.quotient_index}")
+        lines.append(f"witness exponent p (largest block Drazin index): {rep.quotient_index}")
     if rep.defects_in_ideal is not None:
         lines.append(f"witness defects in ideal: {rep.defects_in_ideal}")
     for note in rep.pathway_notes:

@@ -39,9 +39,8 @@ from .finiterank import make_finite_rank
 from .matrices import matrix as make_matrix
 from .operators import (
     BlockOperator,
-    MatrixBlock,
-    ToeplitzBlock,
     direct_sum,
+    matrix_operator,
     op_arith,
     op_scale,
     toeplitz_operator,
@@ -67,8 +66,9 @@ from .symbols import (
 MAX_LITERAL_DIGITS = 1000  # digits of one integer literal
 MAX_EXPONENT = 400  # |k| in a symbol power f^k
 MAX_SYMBOL_DEGREE = 400  # deg num + deg den + |shift| of every symbol formed
-# deg num + deg den of a symbol with a circle split: its Laurent
-# expansions, and so the trace route, grow fastest with it.
+# deg num + deg den of a symbol with a circle split.  The Hankel defect of
+# a product (hankel_defect) and the winding route's Schur-Cohn run on the
+# multiplied-out num and den grow fastest with it.
 MAX_SPLIT_DEGREE = 32
 MAX_SEQ_INDEX = 500  # N in e<N>, and the last index of a fin[...] list
 MAX_GEO_DEGREE = 64  # d in geo(r; d)
@@ -826,9 +826,9 @@ def _eval(node: OpNode) -> BlockOperator:
         return toeplitz_operator(make_factored(ONE, 0, [], []))
     if isinstance(node, FRAtom):
         terms = [(eval_seq(u), eval_seq(v)) for u, v in node.pairs]
-        return BlockOperator((ToeplitzBlock(ZERO_SYMBOL, make_finite_rank(terms)),))
+        return toeplitz_operator(ZERO_SYMBOL, make_finite_rank(terms))
     if isinstance(node, MatrixAtom):
-        return BlockOperator((MatrixBlock(make_matrix([list(r) for r in node.rows])),))
+        return matrix_operator(make_matrix([list(r) for r in node.rows]))
     if isinstance(node, OpNeg):
         return op_scale(_eval(node.arg), gr(-1))
     if isinstance(node, OpScalarMul):
@@ -837,8 +837,7 @@ def _eval(node: OpNode) -> BlockOperator:
         left = _eval(node.left)
         right = _eval(node.right)
         out = op_arith(left, right, _OP_NAMES[node.op])
-        for b in out.blocks:
-            if isinstance(b, ToeplitzBlock):
-                _check_symbol(b.symbol)
+        for f in out.symbols().values():
+            _check_symbol(f)
         return out
     raise TypeError(f"unknown node {node!r}")

@@ -31,13 +31,9 @@ from .errors import (
     OracleMismatch,
     ZeroOnCircle,
 )
-from .finiterank import FR_ZERO, FiniteRankOperator, make_finite_rank, trace as fr_trace
-from .matrices import drazin, drazin_index, matrix, zeros as mat_zeros
+from .finiterank import FiniteRankOperator
 from .operators import (
-    Block,
     BlockOperator,
-    MatrixBlock,
-    ToeplitzBlock,
     _check_signature,
     embed_finite_rank,
     identity_like,
@@ -50,11 +46,8 @@ from .poly import poly
 from .record import Record, _set
 from .rootloc import count_zeros_in_disk, pencil_disk_counts
 from .scalars import GaussianRational, ZERO, gr
-from .sequences import seq_finite
 from .symbols import (
-    ZERO_SYMBOL,
     RationalSymbol,
-    invert_symbol,
     make_symbol,
     sym_arith,
     sym_pow,
@@ -80,14 +73,12 @@ def _class_and_index(a: BlockOperator) -> tuple[str, int | None]:
     root location per symbol num/den (no CircleSplit is read)."""
     windings = []
     has_zero_symbol = False
-    for b in a.blocks:
-        if not isinstance(b, ToeplitzBlock):
-            continue
-        if b.symbol.is_zero():
+    for f in a.symbols().values():
+        if f.is_zero():
             has_zero_symbol = True
             continue
         try:
-            windings.append(winding_number(b.symbol))
+            windings.append(winding_number(f))
         except ZeroOnCircle:
             return NOT_IN_CLASS, None
     return _class_of(windings, has_zero_symbol)
@@ -104,13 +95,18 @@ class DrazinWitness(Record):
     """Candidate Drazin inverse a0 of pi(a), with the certifying defects
     a*a0 - a0*a, a0*a*a0 - a0, a^(p+1)*a0 - a^p.
 
+    quotient_index holds the witness exponent p, the largest block Drazin
+    index: 1 for a zero symbol, a matrix block's own index.  It is not the
+    Drazin index of pi(a): T(z) (++) M[[0,1],[0,0]] has p = 2, yet its
+    matrix block lies in J and pi(a) is invertible.
+
     The defects are taken in the quotient, where the certificate is
     decided: each is a tuple of symbol differences, one per Toeplitz block
-    in block order.  A matrix block lies in the ideal whole, so it gets a
-    witness and a Drazin index but no defect.  The certificate is that
-    every symbol difference is the zero symbol.  index_trace reads only
-    the symbols of a and of the witness: both Widom pairings of each
-    Toeplitz block, with no commutator formed.
+    in block order.  A matrix block lies in the ideal whole, so its
+    witness is 0 and it has no defect.  The certificate is that every
+    symbol difference is the zero symbol.  index_trace reads only the
+    symbols of a and of the witness: both Widom pairings of each Toeplitz
+    block, with no commutator formed.
     """
 
     __slots__ = ("inverse", "quotient_index", "defects")
@@ -125,45 +121,25 @@ class DrazinWitness(Record):
         return all(f.is_zero() for d in self.defects for f in d)
 
 
-def drazin_witness(a: BlockOperator, matrix_mode: str = "drazin") -> DrazinWitness:
-    """Blockwise witness: T(f) -> T(1/f), zero symbol -> 0, matrix ->
-    its Drazin inverse (or 0 with matrix_mode='zero'; both are valid
-    modulo the ideal and must give the same index)."""
+def drazin_witness(a: BlockOperator) -> DrazinWitness:
+    """Blockwise witness: T(f) -> T(1/f), zero symbol -> 0, matrix block
+    -> 0, as it lies in the ideal; p is the largest block Drazin index."""
     if classify(a) == NOT_IN_CLASS:
         raise NotBFredholm("a symbol vanishes on the unit circle")
-    return _drazin_witness(a, matrix_mode)
+    return _drazin_witness(a)
 
 
-def _drazin_witness(a: BlockOperator, matrix_mode: str) -> DrazinWitness:
+def _drazin_witness(a: BlockOperator) -> DrazinWitness:
     """drazin_witness for an a already known to be in class."""
-    if matrix_mode not in ("drazin", "zero"):
-        raise ValueError(f"unknown matrix_mode {matrix_mode!r}")
-    blocks: list[Block] = []
-    p = 0
-    for b in a.blocks:
-        if isinstance(b, ToeplitzBlock):
-            if b.symbol.is_zero():
-                blocks.append(ToeplitzBlock(ZERO_SYMBOL, FR_ZERO))
-                p = max(p, 1)
-            else:
-                blocks.append(ToeplitzBlock(invert_symbol(b.symbol), FR_ZERO))
-        elif matrix_mode == "drazin":
-            d, k = drazin(b.m)
-            blocks.append(MatrixBlock(d))
-            p = max(p, k)
-        else:
-            # the block lies in J, so 0 serves too; only its Drazin index is read
-            blocks.append(MatrixBlock(mat_zeros(b.m.rows, b.m.rows)))
-            p = max(p, drazin_index(b.m))
-    a0 = BlockOperator(tuple(blocks))
+    witnesses = [b.witness() for b in a.blocks]
+    a0 = BlockOperator(tuple([w for w, _ in witnesses]))
+    p = max((k for _, k in witnesses), default=0)
     d1, d2, d3 = [], [], []
-    for x, y in zip(a.blocks, a0.blocks):
-        if isinstance(x, ToeplitzBlock):  # symbols commute: f^(p+1) g = f^p (g f)
-            f, g = x.symbol, y.symbol
-            fg, gf, fp = sym_arith(f, g, "mul"), sym_arith(g, f, "mul"), sym_pow(f, p)
-            d1.append(sym_arith(fg, gf, "sub"))
-            d2.append(sym_arith(sym_arith(gf, g, "mul"), g, "sub"))
-            d3.append(sym_arith(sym_arith(fp, gf, "mul"), fp, "sub"))
+    for f, g in zip(a.symbols().values(), a0.symbols().values()):  # symbols commute: f^(p+1) g = f^p (g f)
+        fg, gf, fp = sym_arith(f, g, "mul"), sym_arith(g, f, "mul"), sym_pow(f, p)
+        d1.append(sym_arith(fg, gf, "sub"))
+        d2.append(sym_arith(sym_arith(gf, g, "mul"), g, "sub"))
+        d3.append(sym_arith(sym_arith(fp, gf, "mul"), fp, "sub"))
     w = DrazinWitness(a0, p, (tuple(d1), tuple(d2), tuple(d3)))
     if not w.defects_in_ideal():
         raise OracleMismatch("a Drazin defect left the ideal; internal error")
@@ -172,17 +148,7 @@ def _drazin_witness(a: BlockOperator, matrix_mode: str) -> DrazinWitness:
 
 def _commutator_trace(comm: BlockOperator) -> GaussianRational:
     """tau of a commutator, summed blockwise; symbols must cancel."""
-    total = ZERO
-    for b in comm.blocks:
-        if isinstance(b, ToeplitzBlock):
-            if not b.symbol.is_zero():
-                raise OracleMismatch(
-                    f"commutator symbol {b.symbol} is not zero; internal error"
-                )
-            total = total + fr_trace(b.correction)
-        else:
-            total = total + b.m.trace()
-    return total
+    return sum((b.commutator_trace() for b in comm.blocks), ZERO)
 
 
 def _commutator_index(a: BlockOperator, a0: BlockOperator) -> int:
@@ -211,8 +177,8 @@ def index_trace(a: BlockOperator, witness: DrazinWitness | None = None) -> int:
     _check_signature(a, witness.inverse)
     # (block, W(g, f), W(f, g)); f's split is checked before g's, so a
     # MissingSplit names the symbol that the product a a0 would
-    pairs = [(k, *widom_pairings(x.symbol, y.symbol))
-             for k, (x, y) in enumerate(zip(a.blocks, witness.inverse.blocks)) if isinstance(x, ToeplitzBlock)]
+    pairs = [(k, *widom_pairings(f, g))
+             for (k, f), g in zip(a.symbols().items(), witness.inverse.symbols().values())]
     t = sum((wgf - wfg for _, wgf, wfg in pairs), ZERO)
     if not t.is_rational_integer():
         k, wgf, wfg = next(p for p in pairs if not (p[1] - p[2]).is_rational_integer())
@@ -231,6 +197,9 @@ def index_winding(a: BlockOperator) -> int:
 
 
 class IndexReport(Record):
+    """classify(a), the index by each route that ran, and in
+    quotient_index the witness exponent p (see DrazinWitness)."""
+
     __slots__ = ("classification", "index_trace", "index_winding", "quotient_index",
                  "pathway_notes", "defects_in_ideal")
 
@@ -255,9 +224,7 @@ def _run_routes(a: BlockOperator) -> tuple[IndexReport, MissingSplit | None]:
         return IndexReport(c, None, None, None, ("no index: not in class",)), None
     notes = ("winding route: -sum of symbol windings",)
     try:
-        # the trace route ignores matrix blocks and the report shows only
-        # their Drazin index, so they get the zero witness
-        w = _drazin_witness(a, "zero")
+        w = _drazin_witness(a)
         it = index_trace(a, w)
     except MissingSplit as e:
         return IndexReport(c, None, iw, None, notes + (f"trace route unavailable: {e}",)), e
@@ -305,41 +272,9 @@ def verify_fedosov(a: BlockOperator) -> IndexReport:
                        ("both routes computed and equal",), r.defects_in_ideal)
 
 
-def random_ideal_element(rng, rank: int = 2, support: int = 4) -> FiniteRankOperator:
-    """Seeded small finite-rank operator with finite-support factors, drawn from rng."""
-
-    def small() -> GaussianRational:
-        return gr(
-            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
-            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
-        )
-
-    terms = []
-    for _ in range(rng.randint(1, rank)):
-        u = seq_finite([small() for _ in range(rng.randint(1, support))])
-        v = seq_finite([small() for _ in range(rng.randint(1, support))])
-        terms.append((u, v))
-    return make_finite_rank(terms)
-
-
 def _perturb_witness(a0: BlockOperator, rng) -> BlockOperator:
     """a0 + j for a random ideal element j, drawn from rng, spread over all blocks."""
-    blocks: list[Block] = []
-    for b in a0.blocks:
-        if isinstance(b, ToeplitzBlock):
-            j = random_ideal_element(rng)
-            blocks.append(ToeplitzBlock(b.symbol, b.correction + j))
-        else:
-            n = b.m.rows
-            delta = [
-                [
-                    gr(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
-                    for _ in range(n)
-                ]
-                for _ in range(n)
-            ]
-            blocks.append(MatrixBlock(b.m + matrix(delta)))
-    return BlockOperator(tuple(blocks))
+    return BlockOperator(tuple([b.perturbed(rng) for b in a0.blocks]))
 
 
 def verify_well_defined(
@@ -401,10 +336,8 @@ def _shifted_classes(a: BlockOperator, lams: list[GaussianRational]) -> list[tup
     disk, at 0 too.  P = 0 only where f is the constant lam: a zero symbol.
     """
     columns, zero_rows = [], set()
-    for b in a.blocks:
-        if not isinstance(b, ToeplitzBlock):
-            continue
-        f, s = b.symbol, b.symbol.shift
+    for f in a.symbols().values():
+        s = f.shift
         if s == 0 and f.num.is_constant() and f.den.is_constant():
             zero_rows.update(j for j, lam in enumerate(lams) if lam == f.num.coeff(0))
             columns.append([0] * len(lams))

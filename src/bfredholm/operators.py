@@ -10,18 +10,21 @@ Laurent expansions, so traces downstream remain exact.
 
 from __future__ import annotations
 
-from .errors import IndexOutOfRange, SignatureMismatch
-from .finiterank import FR_ZERO, FiniteRankOperator, _entry_sum, fr_is_zero, make_finite_rank
-from .matrices import ExactMatrix, identity as mat_identity
+from fractions import Fraction
+
+from .errors import IndexOutOfRange, OracleMismatch, SignatureMismatch
+from .finiterank import FR_ZERO, FiniteRankOperator, _entry_sum, fr_is_zero, make_finite_rank, trace as fr_trace
+from .matrices import ExactMatrix, drazin_index, identity as mat_identity, matrix, zeros as mat_zeros
 from .poly import Polynomial, from_roots
 from .record import Record, _set
 from .scalars import GaussianRational, ONE, ZERO, gr
-from .sequences import RationalSequence, SEQ_ZERO, make_sequence
+from .sequences import RationalSequence, SEQ_ZERO, make_sequence, seq_finite
 from .symbols import (
     RationalSymbol,
     ZERO_SYMBOL,
     expand_rational,
     fourier_coeff,
+    invert_symbol,
     laurent_expansion,
     make_factored,
     sym_arith,
@@ -131,8 +134,27 @@ def hankel_defect(f: RationalSymbol, g: RationalSymbol) -> FiniteRankOperator:
 # ---------------------------------------------------------------------------
 
 
+def random_ideal_element(rng, rank: int = 2, support: int = 4) -> FiniteRankOperator:
+    """Seeded small finite-rank operator with finite-support factors, drawn from rng."""
+
+    def small() -> GaussianRational:
+        return gr(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+        )
+
+    terms = []
+    for _ in range(rng.randint(1, rank)):
+        u = seq_finite([small() for _ in range(rng.randint(1, support))])
+        v = seq_finite([small() for _ in range(rng.randint(1, support))])
+        terms.append((u, v))
+    return make_finite_rank(terms)
+
+
 class ToeplitzBlock(Record):
-    """T(symbol) + correction on l2(N)."""
+    """T(symbol) + correction on l2(N); its class in A/J is its symbol.
+    Each block kind answers for itself every operation the package reads
+    of a block, so no caller tests which kind it holds."""
 
     __slots__ = ("symbol", "correction")
 
@@ -140,13 +162,119 @@ class ToeplitzBlock(Record):
         _set(self, "symbol", symbol)
         _set(self, "correction", correction)
 
+    def signature(self):
+        return "T"
+
+    def symbols(self) -> tuple[RationalSymbol, ...]:
+        return (self.symbol,)
+
+    def unit(self) -> ToeplitzBlock:
+        return ToeplitzBlock(make_factored(ONE, 0, [], []), FR_ZERO)
+
+    def zero(self) -> ToeplitzBlock:
+        return ToeplitzBlock(ZERO_SYMBOL, FR_ZERO)
+
+    def carrying(self, F: FiniteRankOperator) -> ToeplitzBlock:
+        """The zero block with F as its correction."""
+        return ToeplitzBlock(ZERO_SYMBOL, F)
+
+    def arith(self, other: ToeplitzBlock, op: str) -> ToeplitzBlock:
+        if op == "mul":
+            return _toeplitz_mul(self, other)
+        corr = self.correction + other.correction if op == "add" else self.correction - other.correction
+        return ToeplitzBlock(sym_arith(self.symbol, other.symbol, op), corr)
+
+    def scale(self, c: GaussianRational) -> ToeplitzBlock:
+        return ToeplitzBlock(sym_scale(self.symbol, c), self.correction.scale(c))
+
+    def shift(self, lam: GaussianRational) -> ToeplitzBlock:
+        return ToeplitzBlock(sym_arith(self.symbol, make_factored(lam, 0, [], []), "sub"), self.correction)
+
+    def entry(self, i: int, j: int) -> GaussianRational:
+        global _last_reads
+        if i < 0 or j < 0:
+            raise IndexOutOfRange(f"({i},{j}) has a negative index")
+        reads = _last_reads
+        if reads.block is not self:
+            reads = _last_reads = _BlockReads(self)
+        base = reads.diagonals.get(i - j)
+        if base is None:
+            base = reads.diagonals[i - j] = fourier_coeff(self.symbol, i - j)
+        return _entry_sum(self.correction, i, j, reads.rows, reads.cols, base)
+
+    def equals(self, other: ToeplitzBlock) -> bool:
+        return self.symbol == other.symbol and fr_is_zero(self.correction - other.correction)
+
+    def witness(self) -> tuple[ToeplitzBlock, int]:
+        """T(1/f) with Drazin index 0, or 0 with index 1 for a zero symbol f."""
+        if self.symbol.is_zero():
+            return self.zero(), 1
+        return ToeplitzBlock(invert_symbol(self.symbol), FR_ZERO), 0
+
+    def commutator_trace(self) -> GaussianRational:
+        """tau of this block of a commutator, whose symbol must cancel."""
+        if not self.symbol.is_zero():
+            raise OracleMismatch(f"commutator symbol {self.symbol} is not zero; internal error")
+        return fr_trace(self.correction)
+
+    def perturbed(self, rng) -> ToeplitzBlock:
+        """self + j for a random ideal element j, drawn from rng."""
+        return ToeplitzBlock(self.symbol, self.correction + random_ideal_element(rng))
+
 
 class MatrixBlock(Record):
+    """A square matrix.  It lies in J whole, so it has no symbol in A/J,
+    and its witness is 0 with the matrix's own Drazin index."""
+
     __slots__ = ("m",)
 
     def __init__(self, m: ExactMatrix):
         m._square()
         _set(self, "m", m)
+
+    def signature(self):
+        return ("M", self.m.rows)
+
+    def symbols(self) -> tuple[RationalSymbol, ...]:
+        return ()
+
+    def unit(self) -> MatrixBlock:
+        return MatrixBlock(mat_identity(self.m.rows))
+
+    def zero(self) -> MatrixBlock:
+        return MatrixBlock(mat_zeros(self.m.rows, self.m.cols))
+
+    def carrying(self, F: FiniteRankOperator) -> MatrixBlock:
+        raise SignatureMismatch("finite-rank placement must target a Toeplitz block")
+
+    def arith(self, other: MatrixBlock, op: str) -> MatrixBlock:
+        x, y = self.m, other.m
+        return MatrixBlock(x + y if op == "add" else x - y if op == "sub" else x * y)
+
+    def scale(self, c: GaussianRational) -> MatrixBlock:
+        return MatrixBlock(self.m.scale(c))
+
+    def shift(self, lam: GaussianRational) -> MatrixBlock:
+        return MatrixBlock(self.m - mat_identity(self.m.rows).scale(lam))
+
+    def entry(self, i: int, j: int) -> GaussianRational:
+        if not (0 <= i < self.m.rows and 0 <= j < self.m.cols):
+            raise IndexOutOfRange(f"({i},{j}) outside {self.m.rows}x{self.m.cols} block")
+        return self.m.at(i, j)
+
+    def equals(self, other: MatrixBlock) -> bool:
+        return self.m == other.m
+
+    def witness(self) -> tuple[MatrixBlock, int]:
+        return self.zero(), drazin_index(self.m)
+
+    def commutator_trace(self) -> GaussianRational:
+        return self.m.trace()
+
+    def perturbed(self, rng) -> MatrixBlock:
+        n = self.m.rows
+        delta = [[gr(Fraction(rng.randint(-2, 2), rng.randint(1, 3))) for _ in range(n)] for _ in range(n)]
+        return MatrixBlock(self.m + matrix(delta))
 
 
 Block = ToeplitzBlock | MatrixBlock
@@ -159,10 +287,12 @@ class BlockOperator(Record):
         _set(self, "blocks", blocks)
 
     def signature(self) -> tuple:
-        out = []
-        for b in self.blocks:
-            out.append("T" if isinstance(b, ToeplitzBlock) else ("M", b.m.rows))
-        return tuple(out)
+        return tuple([b.signature() for b in self.blocks])
+
+    def symbols(self) -> dict[int, RationalSymbol]:
+        """The class of self in A/J: the symbol of each Toeplitz block, by
+        block index in block order.  A matrix block lies in J and has none."""
+        return {k: f for k, b in enumerate(self.blocks) for f in b.symbols()}
 
 
 def toeplitz_operator(symbol: RationalSymbol, correction: FiniteRankOperator = FR_ZERO) -> BlockOperator:
@@ -178,13 +308,7 @@ def direct_sum(a: BlockOperator, b: BlockOperator) -> BlockOperator:
 
 
 def identity_like(a: BlockOperator) -> BlockOperator:
-    blocks: list[Block] = []
-    for b in a.blocks:
-        if isinstance(b, ToeplitzBlock):
-            blocks.append(ToeplitzBlock(make_factored(ONE, 0, [], []), FR_ZERO))
-        else:
-            blocks.append(MatrixBlock(mat_identity(b.m.rows)))
-    return BlockOperator(tuple(blocks))
+    return BlockOperator(tuple([b.unit() for b in a.blocks]))
 
 
 def _check_signature(a: BlockOperator, b: BlockOperator):
@@ -211,41 +335,16 @@ def op_arith(a: BlockOperator, b: BlockOperator, op: str) -> BlockOperator:
     _check_signature(a, b)
     if op not in ("add", "sub", "mul"):
         raise ValueError(f"unknown op {op!r}")
-    blocks: list[Block] = []
-    for x, y in zip(a.blocks, b.blocks):
-        if isinstance(x, MatrixBlock):
-            m = x.m + y.m if op == "add" else x.m - y.m if op == "sub" else x.m * y.m
-            blocks.append(MatrixBlock(m))
-        elif op == "mul":
-            blocks.append(_toeplitz_mul(x, y))
-        else:
-            corr = x.correction + y.correction if op == "add" else x.correction - y.correction
-            blocks.append(ToeplitzBlock(sym_arith(x.symbol, y.symbol, op), corr))
-    return BlockOperator(tuple(blocks))
+    return BlockOperator(tuple([x.arith(y, op) for x, y in zip(a.blocks, b.blocks)]))
 
 
 def op_scale(a: BlockOperator, c: GaussianRational) -> BlockOperator:
-    blocks: list[Block] = []
-    for b in a.blocks:
-        if isinstance(b, ToeplitzBlock):
-            blocks.append(ToeplitzBlock(sym_scale(b.symbol, c), b.correction.scale(c)))
-        else:
-            blocks.append(MatrixBlock(b.m.scale(c)))
-    return BlockOperator(tuple(blocks))
+    return BlockOperator(tuple([b.scale(c) for b in a.blocks]))
 
 
 def scalar_shift(a: BlockOperator, lam: GaussianRational) -> BlockOperator:
     """A - lambda * identity, blockwise."""
-    const = make_factored(lam, 0, [], [])
-    blocks: list[Block] = []
-    for b in a.blocks:
-        if isinstance(b, ToeplitzBlock):
-            blocks.append(
-                ToeplitzBlock(sym_arith(b.symbol, const, "sub"), b.correction)
-            )
-        else:
-            blocks.append(MatrixBlock(b.m - mat_identity(b.m.rows).scale(lam)))
-    return BlockOperator(tuple(blocks))
+    return BlockOperator(tuple([b.shift(lam) for b in a.blocks]))
 
 
 def op_power(a: BlockOperator, p: int) -> BlockOperator:
@@ -288,49 +387,17 @@ def op_entry(a: BlockOperator, block_index: int, i: int, j: int) -> GaussianRati
     reads.  Calls from several threads stay correct; a thread that races a
     switch to another block at worst computes a value again.
     """
-    global _last_reads
     if not 0 <= block_index < len(a.blocks):
         raise IndexOutOfRange(f"block {block_index} of {len(a.blocks)}")
-    block = a.blocks[block_index]
-    if isinstance(block, ToeplitzBlock):
-        if i < 0 or j < 0:
-            raise IndexOutOfRange(f"({i},{j}) has a negative index")
-        reads = _last_reads
-        if reads.block is not block:
-            reads = _last_reads = _BlockReads(block)
-        base = reads.diagonals.get(i - j)
-        if base is None:
-            base = reads.diagonals[i - j] = fourier_coeff(block.symbol, i - j)
-        return _entry_sum(block.correction, i, j, reads.rows, reads.cols, base)
-    if not (0 <= i < block.m.rows and 0 <= j < block.m.cols):
-        raise IndexOutOfRange(f"({i},{j}) outside {block.m.rows}x{block.m.cols} block")
-    return block.m.at(i, j)
+    return a.blocks[block_index].entry(i, j)
 
 
 def op_equal(a: BlockOperator, b: BlockOperator) -> bool:
     _check_signature(a, b)
-    for x, y in zip(a.blocks, b.blocks):
-        if isinstance(x, ToeplitzBlock):
-            if x.symbol != y.symbol:
-                return False
-            if not fr_is_zero(x.correction - y.correction):
-                return False
-        else:
-            if x.m != y.m:
-                return False
-    return True
+    return all(x.equals(y) for x, y in zip(a.blocks, b.blocks))
 
 
 def embed_finite_rank(a: BlockOperator, F: FiniteRankOperator, block_index: int = 0) -> BlockOperator:
     """A zero operator of a's signature carrying F on one Toeplitz block."""
-    blocks: list[Block] = []
-    for idx, b in enumerate(a.blocks):
-        if isinstance(b, ToeplitzBlock):
-            blocks.append(
-                ToeplitzBlock(ZERO_SYMBOL, F if idx == block_index else FR_ZERO)
-            )
-        else:
-            blocks.append(MatrixBlock(b.m.scale(ZERO)))
-    if not isinstance(a.blocks[block_index], ToeplitzBlock):
-        raise SignatureMismatch("finite-rank placement must target a Toeplitz block")
-    return BlockOperator(tuple(blocks))
+    carrier = a.blocks[block_index].carrying(F)
+    return BlockOperator(tuple([carrier if k == block_index else b.zero() for k, b in enumerate(a.blocks)]))

@@ -1,9 +1,11 @@
+import ast
 import itertools
 import random
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -590,3 +592,64 @@ def test_window_reads_from_many_threads_agree():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+MATRIX_FIRST = "M[[2,1],[0,0]] (++) T((z-1/2)/(z-3)) + FR{e0 | geo(1/3)} (++) T(0) + FR{e1 | e1}"
+
+
+def _windows(op: BlockOperator, n: int = 3) -> str:
+    """Each block's top-left window, n x n on a Toeplitz block and the whole
+    matrix block, rows joined by '; ' and blocks by ' | '."""
+    sizes = [n if kind == "T" else kind[1] for kind in op.signature()]
+    return " | ".join(
+        "; ".join(" ".join(scalars.format_scalar(op_entry(op, k, i, j)) for j in range(size)) for i in range(size))
+        for k, size in enumerate(sizes)
+    )
+
+
+def test_an_operator_whose_matrix_block_comes_first():
+    # the expected windows and report were read off before the block kinds
+    # carried their own operations
+    a = evaluate(parse(MATRIX_FIRST))
+    assert a.signature() == (("M", 2), "T", "T")
+    assert _windows(a) == "2 1; 0 0 | 7/6 1/3 1/9; -5/18 1/6 0; -5/54 -5/18 1/6 | 0 0 0; 0 1 0; 0 0 0"
+    assert _windows(identity_like(a)) == "1 0; 0 1 | 1 0 0; 0 1 0; 0 0 1 | 1 0 0; 0 1 0; 0 0 1"
+    assert _windows(op_scale(a, gr(Fraction(1, 2), 1))) == (
+        "1+2i 1/2+i; 0 0 | 7/12+7/6i 1/6+1/3i 1/18+1/9i; -5/36-5/18i 1/12+1/6i 0; "
+        "-5/108-5/54i -5/36-5/18i 1/12+1/6i | 0 0 0; 0 1/2+i 0; 0 0 0"
+    )
+    assert _windows(scalar_shift(a, gr(Fraction(1, 3)))) == (
+        "5/3 1; 0 -1/3 | 5/6 1/3 1/9; -5/18 -1/6 0; -5/54 -5/18 -1/6 | -1/3 0 0; 0 2/3 0; 0 0 -1/3"
+    )
+    assert _windows(op_arith(a, a, "add")) == (
+        "4 2; 0 0 | 7/3 2/3 2/9; -5/9 1/3 0; -5/27 -5/9 1/3 | 0 0 0; 0 2 0; 0 0 0"
+    )
+    assert _windows(op_arith(a, a, "sub")) == "0 0; 0 0 | 0 0 0; 0 0 0; 0 0 0 | 0 0 0; 0 0 0; 0 0 0"
+    square = op_arith(a, a, "mul")
+    assert _windows(square) == (
+        "4 2; 0 0 | 181/144 59/144 59/432; -10/27 -7/108 -5/162; -5/108 -10/81 17/972 | 0 0 0; 0 1 0; 0 0 0"
+    )
+    assert op_equal(a, a) and not op_equal(a, square)
+    assert op_equal(op_arith(a, a, "sub"), embed_finite_rank(a, FR_ZERO, 1))
+    F = outer(seq_basis(2), seq_geo(gr(Fraction(1, 2))))
+    embedded = embed_finite_rank(a, F, 1)
+    assert embedded.signature() == a.signature()
+    assert _windows(embedded) == "0 0; 0 0 | 0 0 0; 0 0 0; 1 1/2 1/4 | 0 0 0; 0 0 0; 0 0 0"
+    with pytest.raises(SignatureMismatch, match="must target a Toeplitz block"):
+        embed_finite_rank(a, F, 0)
+    rep = analyze(a)
+    assert (rep.classification, rep.index_trace, rep.index_winding, rep.quotient_index, rep.defects_in_ideal) == (
+        "BFredholm", -1, -1, 1, True
+    )
+
+
+def test_no_library_module_asks_which_kind_a_block_is():
+    # each block kind answers for itself; a new kind is one class, not an
+    # edit wherever the package reads a block
+    for path in sorted(Path(operators.__file__).parent.glob("*.py")):
+        kind_tests = [
+            n.lineno for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
+            and {getattr(x, "id", None) for x in ast.walk(n.args[1])} & {"ToeplitzBlock", "MatrixBlock"}
+        ]
+        assert kind_tests == [], path.name

@@ -196,17 +196,27 @@ def reference_pass():
     reference.append((time.perf_counter() - start) * 1e3)
 """
 
+WITNESS = """
+def witness_of(engine):
+    \"\"\"engine._drazin_witness as analyze calls it.  Checkouts from before
+    matrix_mode was retired take matrix_mode="zero" for that.\"\"\"
+    build = engine._drazin_witness
+    return build if build.__code__.co_argcount == 1 else lambda a: build(a, "zero")
+"""
+
 SPLIT_TIMER = """
 import json, statistics, sys, time
-""" + REFERENCE + """
+""" + REFERENCE + WITNESS + """
+from bfredholm import engine
 from bfredholm.dsl import evaluate, parse
-from bfredholm.engine import _drazin_witness, analyze, index_trace
+from bfredholm.engine import analyze, index_trace
 from bfredholm.matrices import drazin
 from bfredholm.operators import MatrixBlock, ToeplitzBlock, op_entry
 from bfredholm.poly import Polynomial, from_roots
 from bfredholm.scalars import ONE, gr
 from bfredholm.symbols import laurent_expansion, make_factored
 texts, passes, budget = json.loads(sys.argv[1]), int(sys.argv[4]), json.loads(sys.argv[5])
+drazin_witness = witness_of(engine)
 analyze_ms = []
 for _ in range(passes + 1):  # the first pass warms the interpreter up
     start = time.perf_counter()
@@ -241,7 +251,7 @@ for _ in range(passes):
     witness_s = trace_s = 0.0
     for a in [evaluate(parse(t)) for t in texts]:
         start = time.perf_counter()
-        w = _drazin_witness(a, "zero")
+        w = drazin_witness(a)
         mid = time.perf_counter()
         index_trace(a, w)
         witness_s += mid - start
@@ -250,8 +260,8 @@ for _ in range(passes):
     trace_ms.append(trace_s * 1e3 / len(texts))
     reference_pass()
 matrix_ops = [evaluate(parse(t)) for t in json.loads(sys.argv[2])]
-witness_args = [(a, "zero") for a in matrix_ops]
-per_call(_drazin_witness, witness_args, 1)  # warms the interpreter up
+witness_args = [(a,) for a in matrix_ops]
+per_call(drazin_witness, witness_args, 1)  # warms the interpreter up
 matrices = [(b.m,) for a in matrix_ops for b in a.blocks if isinstance(b, MatrixBlock)]
 coeffs = (gr(1, 2), gr(3), gr(0, -1))
 fresh = [(make_factored(gr(2), 0, s.zeros, s.poles),) for s in splits * 20]
@@ -263,7 +273,7 @@ def best_trace_ms(text):
     best = None
     for _ in range(passes):
         a = evaluate(parse(text))
-        w = _drazin_witness(a, "zero")
+        w = drazin_witness(a)
         start = time.perf_counter()
         index_trace(a, w)
         ms = (time.perf_counter() - start) * 1e3
@@ -283,7 +293,7 @@ print(json.dumps({
         "evaluate_ms": statistics.median(evaluate_ms),
         "drazin_witness_ms": statistics.median(witness_ms),
         "index_trace_ms": statistics.median(trace_ms),
-        "drazin_witness_matrix_ms": per_call(_drazin_witness, witness_args, 5) * 1e3,
+        "drazin_witness_matrix_ms": per_call(drazin_witness, witness_args, 5) * 1e3,
         "drazin_us": per_call(drazin, matrices, 20) * 1e6,
     },
 }))
@@ -291,6 +301,7 @@ print(json.dumps({
 
 AB_TIMER = """
 import importlib, json, random, statistics, sys, time
+""" + WITNESS + """
 from workloads import INDEX_MIX, make_cases
 labels, seed, rounds = json.loads(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 cases = make_cases(INDEX_MIX, random.Random(f"index-mix:{seed}"), round(25 * INDEX_MIX.rounds_per_second), set())
@@ -300,7 +311,7 @@ sides = {label: (importlib.import_module(f"bf_{label}"), importlib.import_module
 
 def trace_stage(bf, engine):
     ops = [bf.evaluate(bf.parse(t)) for t in texts]
-    witnesses = [engine._drazin_witness(a, "zero") for a in ops]
+    witnesses = list(map(witness_of(engine), ops))
     start = time.perf_counter()
     out = [engine.index_trace(a, w) for a, w in zip(ops, witnesses)]
     return (time.perf_counter() - start) * 1e3 / len(texts), out
@@ -351,7 +362,10 @@ print(json.dumps(out))
 
 
 def _run(src: Path, args: list[str]) -> tuple[float, bytes]:
+    # without PYTHONDONTWRITEBYTECODE the untimed first run per side writes
+    # the bytecode caches, so no timed start-up includes compiling
     env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     start = time.perf_counter()
     done = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
     return time.perf_counter() - start, done.stdout

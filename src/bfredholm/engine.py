@@ -44,7 +44,7 @@ from .operators import (
 )
 from .poly import poly
 from .record import Record, _set
-from .rootloc import count_zeros_in_disk, pencil_disk_counts
+from .rootloc import count_zeros_in_disk, exceeds_on_circle, pencil_disk_counts
 from .scalars import GaussianRational, ZERO, gr
 from .symbols import (
     RationalSymbol,
@@ -69,26 +69,29 @@ def classify(a: BlockOperator) -> str:
 
 
 def _class_and_index(a: BlockOperator) -> tuple[str, int | None]:
-    """classify(a) and, when a is in class, index_winding(a), from one
-    root location per symbol num/den (no CircleSplit is read)."""
-    windings = []
-    has_zero_symbol = False
-    for f in a.symbols().values():
-        if f.is_zero():
-            has_zero_symbol = True
-            continue
-        try:
-            windings.append(winding_number(f))
-        except ZeroOnCircle:
-            return NOT_IN_CLASS, None
-    return _class_of(windings, has_zero_symbol)
+    """classify(a) and, when a is in class, index_winding(a)."""
+    return _class_of(_windings(a))
 
 
-def _class_of(windings: list[int], has_zero_symbol: bool) -> tuple[str, int]:
-    """Class and index from the windings of the nonzero symbols."""
-    if has_zero_symbol or not windings:
-        return B_FREDHOLM, -sum(windings)
-    return (FREDHOLM if any(windings) else INVERTIBLE_MOD_J), -sum(windings)
+def _windings(a: BlockOperator) -> list[int | None] | None:
+    """The winding of each symbol of a, None for a zero symbol, from one
+    root location per symbol num/den (no CircleSplit is read); None when
+    a symbol vanishes on the circle."""
+    try:
+        return [None if f.is_zero() else winding_number(f) for f in a.symbols().values()]
+    except ZeroOnCircle:
+        return None
+
+
+def _class_of(windings: list[int | None] | None) -> tuple[str, int | None]:
+    """Class and index from the windings of the symbols, None for a zero
+    symbol; not in class when windings is None."""
+    if windings is None:
+        return NOT_IN_CLASS, None
+    index = -sum(w for w in windings if w is not None)
+    if None in windings or not windings:
+        return B_FREDHOLM, index
+    return (FREDHOLM if any(windings) else INVERTIBLE_MOD_J), index
 
 
 class DrazinWitness(Record):
@@ -327,27 +330,33 @@ class ScanReport(Record):
         _set(self, "stable_radius", stable_radius)
 
 
-def _shifted_classes(a: BlockOperator, lams: list[GaussianRational]) -> list[tuple[str, int | None]]:
+def _shifted_classes(
+    a: BlockOperator, lams: list[GaussianRational], windings: list[int | None] | None = None, radius=0
+) -> list[tuple[str, int | None]]:
     """_class_and_index(scalar_shift(a, lam)) for each lam, building nothing.
 
-    f = z^s*num/den gives f - lam = z^min(s,0)*P/den with the pencil
+    windings, if given, are a's (_windings), and radius >= every |lam|.  A
+    symbol that passes the disk test, |f| > radius on the whole circle,
+    keeps its winding at every lam by Rouche.  Any other f = z^s*num/den
+    gives f - lam = z^min(s,0)*P/den with the pencil
     P = z^max(s,0)*num - lam*z^max(-s,0)*den, and gcd(P, den) = 1, so
     wind(f - lam) = min(s,0) + Z(P) - Z(den), Z counting the zeros in the
     disk, at 0 too.  P = 0 only where f is the constant lam: a zero symbol.
     """
-    columns, zero_rows = [], set()
-    for f in a.symbols().values():
+    symbols = list(a.symbols().values())
+    columns, missed = [], set()  # missed: samples where some f - lam vanishes on the circle
+    for f, w in zip(symbols, windings or [None] * len(symbols)):
         s = f.shift
         if s == 0 and f.num.is_constant() and f.den.is_constant():
-            zero_rows.update(j for j, lam in enumerate(lams) if lam == f.num.coeff(0))
-            columns.append([0] * len(lams))
-            continue
-        offset = min(s, 0) - (0 if f.den.is_constant() else count_zeros_in_disk(f.den))
-        counts = pencil_disk_counts(f.num.shift_degree(max(s, 0)), f.den.shift_degree(max(-s, 0)), lams)
-        columns.append([None if k is None else offset + k for k in counts])
-    samples = [[col[j] for col in columns] for j in range(len(lams))]
-    return [(NOT_IN_CLASS, None) if None in w else _class_of(w, j in zero_rows)
-            for j, w in enumerate(samples)]
+            columns.append([None if lam == f.num.coeff(0) else 0 for lam in lams])
+        elif w is not None and exceeds_on_circle(f.num, f.den, radius * radius):
+            columns.append([w] * len(lams))
+        else:
+            offset = min(s, 0) - (0 if f.den.is_constant() else count_zeros_in_disk(f.den))
+            counts = pencil_disk_counts(f.num.shift_degree(max(s, 0)), f.den.shift_degree(max(-s, 0)), lams)
+            missed.update(j for j, k in enumerate(counts) if k is None)
+            columns.append([None if k is None else offset + k for k in counts])
+    return [_class_of(None if j in missed else [col[j] for col in columns]) for j in range(len(lams))]
 
 
 def punctured_scan(
@@ -355,21 +364,24 @@ def punctured_scan(
 ) -> ScanReport:
     """Classify a - lambda*e on a punctured grid around 0 (Thm 3.1 shape).
 
-    A sample costs one Schur-Cohn run per Toeplitz block, on
-    z^max(s,0)*num - lambda*z^max(-s,0)*den; den is counted once per block.
-    Matrix blocks and corrections do not enter the class or the index: a
-    square matrix has index 0, and a finite-rank correction moves no index.
+    Each Toeplitz block takes the disk test at the largest radius: if it
+    holds, every sample keeps the block's base winding; if not, a sample
+    costs one Schur-Cohn run for the block (_shifted_classes).  Matrix
+    blocks and corrections do not enter the class or the index: a square
+    matrix has index 0, and a finite-rank correction moves no index.
     """
     radii = sorted(set(Fraction(x) for x in radii))
     if radii and radii[0] <= 0:
         raise BadScanGrid(f"scan radius {radii[0]} is not > 0")
     if not 1 <= directions <= len(SCAN_DIRECTIONS):
         raise BadScanGrid(f"scan directions {directions} is outside 1..{len(SCAN_DIRECTIONS)}")
-    base_c, base = _class_and_index(a)
+    windings = _windings(a)
+    base_c, base = _class_of(windings)
     if base_c == NOT_IN_CLASS:
         raise NotBFredholm("base operator is not in class")
     grid = [(r, d * g) for r, g in zip(radii, map(gr, radii)) for d in SCAN_DIRECTIONS[:directions]]
-    classes = _shifted_classes(a, [lam for _, lam in grid])
+    # every direction has modulus 1, so the largest radius bounds every |lambda|
+    classes = _shifted_classes(a, [lam for _, lam in grid], windings, max(radii, default=0))
     rows = tuple(ScanRow(lam, r, c, idx) for (r, lam), (c, idx) in zip(grid, classes))
     bad = [row.radius for row in rows if row.classification not in FREDHOLM_CLASSES or row.index != base]
     stable = max((r for r in radii if not bad or r < bad[0]), default=None)  # rows ascend in radius

@@ -399,5 +399,7 @@ def op_equal(a: BlockOperator, b: BlockOperator) -> bool:
 
 def embed_finite_rank(a: BlockOperator, F: FiniteRankOperator, block_index: int = 0) -> BlockOperator:
     """A zero operator of a's signature carrying F on one Toeplitz block."""
+    if not 0 <= block_index < len(a.blocks):
+        raise IndexOutOfRange(f"block {block_index} of {len(a.blocks)}")
     carrier = a.blocks[block_index].carrying(F)
     return BlockOperator(tuple([carrier if k == block_index else b.zero() for k, b in enumerate(a.blocks)]))

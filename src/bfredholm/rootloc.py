@@ -21,11 +21,15 @@ root is a circle zero) and the Cauchy index of an exact argument-principle
 count.  Sturm chains are primitive pseudo-remainder sequences over Z
 (Collins 1967; Brown and Traub 1971), with positive multipliers so that
 every sign is kept.
+
+The disk test (exceeds_on_circle) decides |num| > R*|den| on the whole
+circle with one run of the same loop, on a self-inversive polynomial.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ZeroOnCircle, ZeroPolynomial
 from .poly import Polynomial
@@ -141,10 +145,17 @@ def _locate(re: list[int], im: list[int]) -> tuple[int, int | None]:
     """(m, k) for p = re + i*im over Z[i], trimmed, stripped of its zeros at
     0 and made primitive here: m is the order of p at z = 0, and k the number
     of its other zeros inside the disk, or None if p has a circle zero."""
-    support = [k for k, (a, b) in enumerate(zip(re, im)) if a or b]
-    if not support:
+    n = len(re)
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    if not n:
         raise ZeroPolynomial("root location of the zero polynomial")
-    m, n, g = support[0], support[-1] + 1, gcd(*re, *im)
+    m = 0
+    while not re[m] and not im[m]:
+        m += 1
+    g = gcd(*re, *im)
+    if g == 1:
+        return m, _inside(re[m:n], im[m:n])
     return m, _inside([a // g for a in re[m:n]], [b // g for b in im[m:n]])
 
 
@@ -160,10 +171,9 @@ def _inside(re: list[int], im: list[int]) -> int | None:
     count, sign = 0, 1
     while len(re) > 1:
         n = len(re) - 1
-        a, b, c, d = re[0], im[0], re[-1], im[-1]
-        rev = list(zip(re[::-1], im[::-1]))
-        qr = [a * x + b * y - c * u - d * v for x, y, (u, v) in zip(re[:-1], im[:-1], rev)]
-        qi = [a * y - b * x - d * u + c * v for x, y, (u, v) in zip(re[:-1], im[:-1], rev)]
+        a, b, c, d = re[0], im[0], re[n], im[n]
+        qr = [a * re[k] + b * im[k] - c * re[n - k] - d * im[n - k] for k in range(n)]
+        qi = [a * im[k] - b * re[k] - d * re[n - k] + c * im[n - k] for k in range(n)]
         delta = a * a + b * b - c * c - d * d
         if delta == 0:
             k = _winding_count(re, im) if any(qr) or any(qi) else _cohn(re, im)
@@ -172,7 +182,7 @@ def _inside(re: list[int], im: list[int]) -> int | None:
             qr.pop()
             qi.pop()
         g = gcd(*qr, *qi)
-        re, im = [x // g for x in qr], [y // g for y in qi]
+        re, im = ([x // g for x in qr], [y // g for y in qi]) if g != 1 else (qr, qi)
         if delta < 0:
             count, sign = count + sign * n, -sign
     return count
@@ -209,6 +219,28 @@ def count_zeros_in_disk(p: Polynomial) -> int:
     if k is None:
         raise ZeroOnCircle(f"{p} has a zero on the unit circle")
     return m + k
+
+
+def exceeds_on_circle(num: Polynomial, den: Polynomial, r2) -> bool:
+    """True iff |num| > R*|den| all over the unit circle, for nonzero num and
+    den and rational R^2 = r2 >= 0; exact (the disk test).  With num and den
+    cleared to N and D over Z[i], r2 = x/e, m = max(deg N, deg D) and p# the
+    conjugate reciprocal, P = e*z^(m-deg N)*N*N# - x*z^(m-deg D)*D*D# is
+    z^m*e*(|N|^2 - r2*|D|^2) on the circle, where the bracket is real: it is
+    positive there exactly when P(1) > 0 and P has no circle zero.  P is
+    self-inversive, so _inside hands it to _cohn at its first step."""
+    k, m = len(num.coeffs), max(len(num.coeffs), len(den.coeffs)) - 1
+    re, im = _integer_form(num.coeffs + den.coeffs)
+    pr, pi = [0] * (2 * m + 1), [0] * (2 * m + 1)
+    for c, ar, ai in ((r2.denominator, re[:k], im[:k]), (-r2.numerator, re[k:], im[k:])):
+        n = len(ar)
+        for t in range(n):  # c*sum p_j*conj(p_(j+t)) at z^(m-t), its conjugate at z^(m+t)
+            u = c * (sum(map(mul, ar, ar[t:])) + sum(map(mul, ai, ai[t:])))
+            v = c * (sum(map(mul, ai, ar[t:])) - sum(map(mul, ar, ai[t:])))
+            pr[m - t], pi[m - t] = pr[m - t] + u, pi[m - t] + v
+            if t:
+                pr[m + t], pi[m + t] = pr[m + t] + u, pi[m + t] - v
+    return sum(pr) > 0 and _locate(pr, pi)[1] is not None  # sum(pr) = P(1), a real number
 
 
 def pencil_disk_counts(a: Polynomial, b: Polynomial, lams) -> list[int | None]:

@@ -47,6 +47,13 @@ A symbol power is kept as the loop of k products by f, each through
 sym_arith.  The library raises the multiplicities of a split symbol, or
 num and den of any other, in one step.
 
+The Schur-Cohn loop is kept as the library once ran it (locate_reference):
+the support of p as a list, every coefficient divided by the content even
+when it is 1, and each step's reversed coefficients zipped into a new
+list of pairs.  The library indexes the coefficients, scans for the ends
+of the support and skips a division by 1; the steps are the same, and
+the Cayley fallback (_winding_count) is shared.
+
 A matrix Drazin inverse is kept as the Fitting decomposition the library
 once built: a basis of range(A^k) beside one of ker(A^k), the core block
 inverted in that basis and conjugated back.  The library reads A^k X A^k
@@ -62,11 +69,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from bfredholm.engine import FREDHOLM_CLASSES, SCAN_DIRECTIONS, ScanReport, ScanRow, _class_and_index
 from bfredholm.finiterank import FiniteRankOperator, make_finite_rank
-from bfredholm.errors import ExactError
+from bfredholm.errors import ExactError, ZeroPolynomial
 from bfredholm.matrices import ExactMatrix, _rref, identity, matrix, rank, zeros
 from bfredholm.operators import (
     BlockOperator,
@@ -78,6 +85,7 @@ from bfredholm.operators import (
     toeplitz_apply_transpose,
 )
 from bfredholm.poly import P_ZERO, Polynomial, binom_poly, poly, poly_divmod, rising_binom_poly
+from bfredholm.rootloc import _winding_count
 from bfredholm.scalars import ONE, ZERO, GaussianRational, gr
 from bfredholm.sequences import (
     SEQ_ZERO,
@@ -333,6 +341,48 @@ def punctured_scan_reference(a: BlockOperator, radii: list[Fraction], directions
         else:
             break
     return ScanReport(base_c, base, tuple(rows), stable)
+
+
+def locate_reference(re: list[int], im: list[int]) -> tuple[int, int | None]:
+    """rootloc._locate as the library once ran it."""
+    support = [k for k, (a, b) in enumerate(zip(re, im)) if a or b]
+    if not support:
+        raise ZeroPolynomial("root location of the zero polynomial")
+    m, n, g = support[0], support[-1] + 1, gcd(*re, *im)
+    return m, _inside_reference([a // g for a in re[m:n]], [b // g for b in im[m:n]])
+
+
+def _inside_reference(re: list[int], im: list[int]) -> int | None:
+    count, sign = 0, 1
+    while len(re) > 1:
+        n = len(re) - 1
+        a, b, c, d = re[0], im[0], re[-1], im[-1]
+        rev = list(zip(re[::-1], im[::-1]))
+        qr = [a * x + b * y - c * u - d * v for x, y, (u, v) in zip(re[:-1], im[:-1], rev)]
+        qi = [a * y - b * x - d * u + c * v for x, y, (u, v) in zip(re[:-1], im[:-1], rev)]
+        delta = a * a + b * b - c * c - d * d
+        if delta == 0:
+            k = _winding_count(re, im) if any(qr) or any(qi) else _cohn_reference(re, im)
+            return None if k is None else count + sign * k
+        while not qr[-1] and not qi[-1]:
+            qr.pop()
+            qi.pop()
+        g = gcd(*qr, *qi)
+        re, im = [x // g for x in qr], [y // g for y in qi]
+        if delta < 0:
+            count, sign = count + sign * n, -sign
+    return count
+
+
+def _cohn_reference(re: list[int], im: list[int]) -> int | None:
+    n = len(re) - 1
+    if n % 2:
+        return None
+    dr = [k * x for k, x in enumerate(re)][1:]
+    di = [k * y for k, y in enumerate(im)][1:]
+    m = next(k for k in range(n) if dr[k] or di[k])
+    k = _inside_reference(dr[m:], di[m:])
+    return n // 2 if k is not None and m + k == n // 2 - 1 else None
 
 
 def _null_space(A: ExactMatrix) -> list[list[GaussianRational]]:

@@ -28,6 +28,7 @@ from bfredholm.engine import (
 from bfredholm.errors import (
     BadScanGrid,
     ExactError,
+    IndexOutOfRange,
     MissingSplit,
     NonIntegerTrace,
     NotBezout,
@@ -338,6 +339,13 @@ def test_log_law_on_a_split_free_symbol_keeps_the_winding_route():
 def test_ideal_perturbation_on_a_split_free_symbol_keeps_the_winding_route():
     r = verify_ideal_perturbation(_op(SPLIT_FREE), random_ideal_element(random.Random(5)))
     assert r == {"index": 0, "classification": "InvertibleModJ", "routes": ["winding route"]}
+
+
+@pytest.mark.parametrize("block", [-1, 2])
+def test_ideal_perturbation_outside_the_sum_raises(block):
+    a = _op("T(z) (++) T(z-1/2)")
+    with pytest.raises(IndexOutOfRange, match=f"^block {block} of 2$"):
+        verify_ideal_perturbation(a, random_ideal_element(random.Random(5)), block)
 
 
 @pytest.mark.parametrize("verify", [verify_fedosov, lambda a: verify_power_law(a, 2)], ids=["fedosov", "powerlaw"])

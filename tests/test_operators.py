@@ -413,6 +413,14 @@ def test_block_index_outside_the_sum_raises(block):
         op_entry(a, block, 0, 0)
 
 
+@pytest.mark.parametrize("block", [-1, 2])
+def test_embed_finite_rank_outside_the_sum_raises(block):
+    a = evaluate(parse("T(z) (++) T(z-1/2)"))
+    with pytest.raises(IndexOutOfRange, match=f"^block {block} of 2$"):
+        embed_finite_rank(a, outer(seq_basis(0), seq_basis(0)), block)
+    assert embed_finite_rank(a, FR_ZERO, 1).signature() == a.signature()
+
+
 def test_product_correction_matches_the_four_pieces():
     rng = random.Random(45)
     for _ in range(40):

@@ -8,19 +8,27 @@ circle test over the rationals (the Cayley image, the gcd of its real and
 imaginary parts, and the Cauchy index of g'/g), with an argument-principle
 count on the same image, is kept here as a reference for the Schur-Cohn
 loop on a few thousand small seeded polynomials.
+
+The loop itself is checked step for step against the form it once had
+(references.locate_reference) on 20,000 seeded Gaussian-integer
+polynomials, and the disk test against a float minimum of |f| over 4,096
+points of the circle.
 """
 
+import cmath
 import random
 from fractions import Fraction
 from functools import cache
 
 import pytest
+from references import locate_reference, random_poly, random_symbol
 
 from bfredholm import rootloc
 from bfredholm.errors import ZeroOnCircle
 from bfredholm.poly import P_ONE, from_roots, poly
-from bfredholm.rootloc import count_zeros_in_disk, has_zero_on_circle
+from bfredholm.rootloc import count_zeros_in_disk, exceeds_on_circle, has_zero_on_circle
 from bfredholm.scalars import gr
+from bfredholm.symbols import make_symbol
 
 CIRCLE = [
     gr(1), gr(-1), gr(0, 1), gr(0, -1),
@@ -236,3 +244,77 @@ def test_cayley_image_only_at_a_degenerate_step(monkeypatch):
         count_zeros_in_disk(poly([1, gr(0, Fraction(-3, 2)), 1]))
     monkeypatch.undo()
     assert count_zeros_in_disk(poly([1, gr(0, Fraction(-3, 2)), 1])) == 1
+
+
+UNIT_POINTS = ((1, 0, 1), (0, 1, 1), (3, 4, 5), (5, 12, 13))  # u + iv = d*zeta, |zeta| = 1
+LOOP_KINDS = ("dense", "self-inversive", "equal ends", "zeros at 0", "circle zero")
+
+
+def _loop_case(rng, kind):
+    """re, im of a seeded Gaussian-integer polynomial of degree <= 12."""
+    n, size = rng.randint(0, 12), rng.choice((1, 2, 6))
+    c = [(rng.randint(-size, size), rng.randint(-size, size)) for _ in range(n + 1)]
+    if kind == "self-inversive" and n > 6:  # p*p#, p#(z) = z^h*conj(p(1/conj z)), as the disk test builds
+        p, h = c[:n - 5], n - 6
+        c = [(0, 0)] * (2 * h + 1)
+        for j, (a, b) in enumerate(p):
+            for k, (x, y) in enumerate(p):  # p_j*conj(p_k) at z^(j+h-k)
+                r, i = c[j + h - k]
+                c[j + h - k] = (r + a * x + b * y, i + b * x - a * y)
+    elif kind == "self-inversive":  # a_k + conj(a_(n-k)), times -1 at random
+        s = rng.choice((1, -1))
+        c = [(s * (a + c[n - k][0]), s * (b - c[n - k][1])) for k, (a, b) in enumerate(c)]
+    elif kind == "equal ends":  # a_n is a_0 turned or mirrored, so |a_0| = |a_n|
+        a, b = c[0]
+        c[-1] = rng.choice(((b, a), (-a, b), (-b, a), (a, -b), (-a, -b)))
+    elif kind == "circle zero":  # (d*z - (u + iv)) * q: d*q_(k-1) - (u + iv)*q_k at z^k
+        u, v, d = rng.choice(UNIT_POINTS)
+        u, v = rng.choice((1, -1)) * u, rng.choice((1, -1)) * v
+        c = [(d * x - u * a + v * b, d * y - u * b - v * a) for (x, y), (a, b) in zip([(0, 0)] + c, c + [(0, 0)])]
+    if kind == "zeros at 0":
+        c = [(0, 0)] * rng.randint(1, 3) + c + [(0, 0)] * rng.randint(0, 2)
+    if not any(a or b for a, b in c):
+        c[-1] = (1, 0)
+    return [a for a, _ in c], [b for _, b in c]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_loop_against_its_former_form(seed):
+    rng = random.Random(f"loop:{seed}")
+    for k in range(2500):
+        re, im = _loop_case(rng, LOOP_KINDS[k % len(LOOP_KINDS)])
+        assert rootloc._locate(list(re), list(im)) == locate_reference(re, im), (re, im)
+
+
+CIRCLE_POINTS = [cmath.exp(2j * cmath.pi * k / 4096) for k in range(4096)]
+
+
+def _min_modulus(f):
+    """min |num/den| over 4,096 points of the circle, in floats."""
+    num, den = [c.to_complex() for c in f.num.coeffs], [c.to_complex() for c in f.den.coeffs]
+
+    def at(cs, z):
+        out = 0j
+        for c in reversed(cs):
+            out = out * z + c
+        return out
+
+    return min(abs(at(num, z)) / abs(at(den, z)) for z in CIRCLE_POINTS)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_disk_test_against_a_float_minimum(seed):
+    rng = random.Random(f"disk:{seed}")
+    checked = 0
+    while checked < 100:
+        if rng.random() < 0.5:
+            f = random_symbol(rng)  # split or Laurent
+        else:
+            f = make_symbol(random_poly(rng, rng.randint(0, 4)), random_poly(rng, rng.randint(0, 4)), 0)
+        if f.is_zero() or has_zero_on_circle(f.den):
+            continue
+        low = _min_modulus(f)
+        for r in (Fraction(0), Fraction(round(64 * low * rng.uniform(0.5, 1.5)), 64), Fraction(rng.randint(1, 40), 8)):
+            if abs(r - low) > 1e-3:
+                assert exceeds_on_circle(f.num, f.den, r * r) == (low > r), (f, r)
+                checked += 1

@@ -1,11 +1,15 @@
 """punctured_scan against the operator-building reference, field for field.
 
-The library classifies every sample a - lambda*e from one root location of
-the pencil z^max(s,0)*num - lambda*z^max(-s,0)*den per Toeplitz block; the
-reference builds a - lambda*e with scalar_shift and classifies it like the
-base operator.  The inputs reach every term of the pencil's winding:
-negative shifts, poles inside the disk, zeros of f - lambda at z = 0 and on
-the circle, and constant symbols equal to a sample (a zero symbol).
+The library settles a Toeplitz block's samples by one disk test (|f| > R on
+the circle, R the largest radius) or else classifies every sample
+a - lambda*e from one root location of the pencil
+z^max(s,0)*num - lambda*z^max(-s,0)*den; the reference builds a - lambda*e
+with scalar_shift and classifies it like the base operator.  The inputs
+reach every term of the pencil's winding: negative shifts, poles inside
+the disk, zeros of f - lambda at z = 0 and on the circle, and constant
+symbols equal to a sample (a zero symbol); and the disk test's
+boundaries: |f| = R at z = 1 and away from it, |f| < R everywhere, and a
+test that fails on one block and holds on another.
 """
 
 import random
@@ -18,7 +22,7 @@ from bfredholm.dsl import evaluate, parse
 from bfredholm.engine import SCAN_DIRECTIONS, _class_and_index, nonstability_demo, punctured_scan
 from bfredholm.operators import scalar_shift, toeplitz_operator
 from bfredholm.poly import poly
-from bfredholm.rootloc import has_zero_on_circle
+from bfredholm.rootloc import exceeds_on_circle, has_zero_on_circle
 from bfredholm.scalars import gr
 from bfredholm.suites import _random_split_symbol, bfredholm_cases, corpus
 from bfredholm.symbols import make_symbol
@@ -125,6 +129,53 @@ def test_constant_symbol_hit_is_a_zero_symbol_row():
     rep = _same_as_reference(evaluate(parse("T(1/8)")))
     hit = [(r.classification, r.index) for r in rep.rows if r.lam == gr(Fraction(1, 8))]
     assert hit == [("BFredholm", 0)]
+    assert rep.stable_radius == Fraction(1, 16)
+
+
+def _disk_tests(a):
+    """The disk test of each Toeplitz symbol of a at the largest CLI radius."""
+    return [exceeds_on_circle(f.num, f.den, max(CLI_RADII) ** 2) for f in a.symbols().values()]
+
+
+def _rows(rep, lam):
+    return [(r.classification, r.index) for r in rep.rows if r.lam == lam]
+
+
+def test_disk_test_boundary_at_one():
+    # |f| = 1/8 at z = 1 only: the sign test at z = 1 fails, and f - 1/8 = z - 1
+    a = evaluate(parse("T(z - 7/8)"))
+    assert _disk_tests(a) == [False]
+    rep = _same_as_reference(a)
+    assert _rows(rep, gr(Fraction(1, 8))) == [("NotInClass", None)]
+    assert rep.stable_radius == Fraction(1, 16)
+
+
+def test_disk_test_boundary_away_from_one():
+    # |f(1)| = 15/8 passes the sign test, but |f(-1)| = 1/8: only the
+    # circle-zero test fails, and f + 1/8 vanishes at z = -1
+    a = evaluate(parse("T(z + 7/8)"))
+    assert _disk_tests(a) == [False]
+    rep = _same_as_reference(a)
+    assert _rows(rep, gr(Fraction(-1, 8))) == [("NotInClass", None)]
+    assert rep.stable_radius == Fraction(1, 16)
+
+
+def test_disk_test_below_every_radius():
+    # 1/64 <= |f| <= 3/64 < 1/8 on the whole circle: P(1) < 0 and P has no
+    # circle zero, so only the sign test refuses it
+    a = evaluate(parse("T(1/32*z - 1/64)"))
+    assert _disk_tests(a) == [False]
+    rep = _same_as_reference(a)
+    assert [r.classification for r in rep.rows].count("InvertibleModJ") == 21
+    assert rep.base_index == -1 and rep.stable_radius is None
+
+
+def test_disk_test_fails_on_one_block_and_holds_on_the_other():
+    a = evaluate(parse("T(z - 7/8) (++) T(z - 1/2)"))
+    assert _disk_tests(a) == [False, True]
+    rep = _same_as_reference(a)
+    assert _rows(rep, gr(Fraction(1, 8))) == [("NotInClass", None)]
+    assert {r.index for r in rep.rows if r.classification != "NotInClass"} == {-2}
     assert rep.stable_radius == Fraction(1, 16)
 
 

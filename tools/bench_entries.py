@@ -20,7 +20,13 @@ change) are timed under the same load:
 - ``scan_readme_s``: the README's ``bfredholm scan "T(z - 1/2)" --radii
   1/8,1/16 --format csv``;
 - ``scan_dense40_s``: ``bfredholm scan DENSE_40``, a dense degree-40
-  numerator over ``z^40 + 1/7*z + 1/9``, with its output's SHA-256;
+  numerator over ``z^40 + 1/7*z + 1/9``, with its output's SHA-256; its
+  disk test holds, so no sample runs a Schur-Cohn loop;
+- ``scan_dense40_miss_s``: ``bfredholm scan DENSE_40_MISS``, the worst case
+  of the disk test: (z + 1)*q + 1/16 over the same denominator, with q
+  dense of degree 39, has |f(1)| > 1/8 but |f(-1)| < 1/8, so the test
+  runs to the end of its Schur-Cohn loop, fails, and every sample runs
+  its own; with its output's SHA-256;
 - ``verify_punctured_s``: ``bfredholm verify --suite punctured``;
 - ``analyze_split_ms``: parse, evaluate and ``analyze`` of each operator of
   ``SPLIT_OPERATORS``, a fixed seeded list of products and sums of split
@@ -53,12 +59,15 @@ change) are timed under the same load:
   ``PASSES`` calls on fresh operators (in process);
 - ``ab``, with two or more sides: each side's ``bfredholm`` is copied
   under its own package name, and one interpreter imports them all and
-  takes ``AB_ROUNDS`` rounds over the texts of a 25-second perfbench
-  index-mix run, for each of ``AB_SEEDS``, the sides taking turns in
-  alternating order.  A round times the trace stage (``index_trace`` on
-  fresh operators, their witnesses built untimed) and the whole op
-  (parse, evaluate and ``analyze``) per text, and the runner stops if the
-  sides' outputs differ.  Each side's ratio to the first side is taken
+  takes ``AB_ROUNDS`` rounds over the cases of 25-second perfbench
+  index-mix and punctured-scan runs, for each of ``AB_SEEDS``, the sides
+  taking turns in alternating order.  A round times the trace stage
+  (``index_trace`` on fresh operators, their witnesses built untimed) and
+  the whole op (parse, evaluate and ``analyze``) per index-mix text, and
+  ``punctured_scan`` at the workload's radii per punctured-scan case
+  (``scan_ms``, operators evaluated untimed).  The runner stops before
+  timing if the sides' outputs differ on the warm-up pass, and after any
+  round where they differ.  Each side's ratio to the first side is taken
   per round, and their median is reported.
 
 ``op_entry_window_ms``, ``analyze_split_ms`` and ``layers`` are in-process;
@@ -104,6 +113,17 @@ def _dense_40() -> str:
 
 
 DENSE_40 = _dense_40()
+
+
+def _dense_40_miss() -> str:
+    """(z + 1)*q + 1/16 over DENSE_40's denominator, q dense of degree 39."""
+    rng = random.Random(45)
+    terms = [f"({rng.randint(-5, 5)}/{rng.randint(1, 4)} + {rng.randint(-5, 5)}/{rng.randint(1, 4)}*i)*z^{k}" for k in range(40)]
+    return f"T(((z + 1)*({' + '.join(terms)}) + 1/16)/(z^40 + 1/7*z + 1/9))"
+
+
+DENSE_40_MISS = _dense_40_miss()
+
 
 def _split_operators() -> list[str]:
     """Products, sums and powers of symbols with simple zeros and poles on
@@ -302,10 +322,13 @@ print(json.dumps({
 AB_TIMER = """
 import importlib, json, random, statistics, sys, time
 """ + WITNESS + """
-from workloads import INDEX_MIX, make_cases
+from workloads import DIRECTIONS, INDEX_MIX, PUNCTURED_SCAN, RADII, make_cases
 labels, seed, rounds = json.loads(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
-cases = make_cases(INDEX_MIX, random.Random(f"index-mix:{seed}"), round(25 * INDEX_MIX.rounds_per_second), set())
-texts = [c.text for c in cases]
+
+def texts_of(w):
+    return [c.text for c in make_cases(w, random.Random(f"{w.name}:{seed}"), round(25 * w.rounds_per_second), set())]
+
+texts, scan_texts = texts_of(INDEX_MIX), texts_of(PUNCTURED_SCAN)
 sides = {label: (importlib.import_module(f"bf_{label}"), importlib.import_module(f"bf_{label}.engine"))
          for label in labels}
 
@@ -321,10 +344,16 @@ def whole_op(bf, engine):
     out = [repr(bf.analyze(bf.evaluate(bf.parse(t)))) for t in texts]
     return (time.perf_counter() - start) * 1e3 / len(texts), out
 
-units = {"trace_stage_ms": trace_stage, "whole_op_ms": whole_op}
-for bf, engine in sides.values():  # warms the interpreter up
-    for unit in units.values():
-        unit(bf, engine)
+def scan(bf, engine):
+    ops = [bf.evaluate(bf.parse(t)) for t in scan_texts]
+    start = time.perf_counter()
+    out = [repr(bf.punctured_scan(a, list(RADII), len(DIRECTIONS))) for a in ops]
+    return (time.perf_counter() - start) * 1e3 / len(scan_texts), out
+
+units = {"trace_stage_ms": trace_stage, "whole_op_ms": whole_op, "scan_ms": scan}
+for name, unit in units.items():  # warms the interpreter up, and times no side whose outputs differ
+    if len({repr(unit(bf, engine)[1]) for bf, engine in sides.values()}) > 1:
+        sys.exit(f"the sides' outputs differ in {name} on seed {seed}")
 times = {name: {label: [] for label in labels} for name in units}
 for r in range(rounds):
     outputs = {}
@@ -334,7 +363,7 @@ for r in range(rounds):
             times[name][label].append(ms)
             outputs.setdefault(name, []).append(out)
     if any(out != outs[0] for outs in outputs.values() for out in outs):
-        sys.exit(f"the sides' outputs differ on index-mix seed {seed}")
+        sys.exit(f"the sides' outputs differ on seed {seed}")
 print(json.dumps(times))
 """
 
@@ -403,8 +432,9 @@ def _timed(sides: dict[str, Path], args: list[str], repeat: int) -> dict:
 
 
 def in_process_ab(sides: dict[str, Path]) -> dict:
-    """The trace stage and the whole index-mix op of every side, in one
-    interpreter, each side's bfredholm imported as bf_<label>."""
+    """The trace stage and the whole index-mix op, and the punctured scan,
+    of every side in one interpreter, each side's bfredholm imported as
+    bf_<label>."""
     root = Path(__file__).resolve().parent.parent
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -415,7 +445,7 @@ def in_process_ab(sides: dict[str, Path]) -> dict:
             done = subprocess.run([sys.executable, "-c", AB_TIMER, json.dumps(list(sides)), str(seed), str(AB_ROUNDS)],
                                   env=env, capture_output=True, text=True, check=True)
             times, first = json.loads(done.stdout), next(iter(sides))
-            out[f"index-mix seed {seed}"] = {
+            out[f"seed {seed}"] = {
                 name: {
                     label: {**_summary(ms, 4), "ratio": _summary([b / a for a, b in zip(per[first], ms)], 3)}
                     for label, ms in per.items()
@@ -451,6 +481,7 @@ def measure(sides: dict[str, Path], repeat: int) -> dict:
         "entries_200_s": _timed(sides, cli + ["entries", PRODUCT, "--rows", "200", "--cols", "200"], repeat),
         "scan_readme_s": _timed(sides, cli + ["scan", "T(z - 1/2)", "--radii", "1/8,1/16", "--format", "csv"], repeat),
         "scan_dense40_s": _timed(sides, cli + ["scan", DENSE_40], repeat),
+        "scan_dense40_miss_s": _timed(sides, cli + ["scan", DENSE_40_MISS], repeat),
         "verify_punctured_s": _timed(sides, cli + ["verify", "--suite", "punctured"], repeat),
         "index_split16_s": _timed(sides, cli + ["index", SPLIT16], repeat),
         "index_power20_s": _timed(sides, cli + ["index", POWER_20], repeat),
@@ -491,6 +522,7 @@ def main(argv: list[str] | None = None) -> int:
         "cpus": os.cpu_count(),
         "product": PRODUCT,
         "dense_40": DENSE_40,
+        "dense_40_miss": DENSE_40_MISS,
         "split_operators": SPLIT_OPERATORS,
         "matrix_operators": MATRIX_OPERATORS,
         "power_20": POWER_20,
